@@ -108,7 +108,6 @@ class RunConfig:
             lot_size=self.lot_size,
             episode_length=self.episode_length,
             tax_params=self.tax_params(),
-            gamma=self.gamma,
             include_position=self.include_position,
         )
 

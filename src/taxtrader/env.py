@@ -46,7 +46,6 @@ class EnvConfig:
     lot_size: float = 100.0
     episode_length: int = 1260
     tax_params: TaxParams = field(default_factory=TaxParams)
-    gamma: float = 0.99
     include_position: bool = True
     price_scale: float | None = None
     volume_scale: float | None = None
@@ -58,8 +57,6 @@ class EnvConfig:
             raise ValueError("lot_size must be positive")
         if self.episode_length < 1:
             raise ValueError("episode_length must be at least 1")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ the cached forward activations. Checkpoints round-trip bit-exactly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,37 +105,65 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
     return h
 
 
+def _buffer(buffers: dict, key: tuple, shape: tuple[int, ...]) -> np.ndarray:
+    """The scratch array stored under ``key``, reallocated if ``shape`` changed."""
+    buf = buffers.get(key)
+    if buf is None or buf.shape != shape:
+        buf = buffers[key] = np.empty(shape)
+    return buf
+
+
 def forward_cached(
-    params: MlpParams, x: np.ndarray
+    params: MlpParams, x: np.ndarray, buffers: dict | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass on a batch, keeping per-layer activations for backward."""
+    """Forward pass on a batch, keeping per-layer activations for backward.
+
+    Each layer's output is written into an array held in ``buffers``, a
+    dict the caller owns and passes to every call (a fresh one is used
+    when it is ``None``). The returned outputs and every cache entry but
+    the input therefore alias buffers that the next call with the same
+    ``buffers`` and batch size overwrites.
+    """
+    if buffers is None:
+        buffers = {}
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if h.shape[1] != params.in_dim:
         raise ValueError(f"input dim {h.shape[1]} != expected {params.in_dim}")
     cache = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+        h = np.matmul(h, w, out=_buffer(buffers, ("act", i), (h.shape[0], w.shape[1])))
+        h += b
         if i < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         cache.append(h)
     return h, cache
 
 
 def backward(
-    params: MlpParams, cache: list[np.ndarray], out_grad: np.ndarray
+    params: MlpParams,
+    cache: list[np.ndarray],
+    out_grad: np.ndarray,
+    buffers: dict | None = None,
 ) -> tuple[MlpParams, np.ndarray]:
     """Exact gradients of ``sum(outputs * out_grad)`` for every parameter.
 
     Returns the parameter gradients (same container shape) and the
-    gradient with respect to the input batch.
+    gradient with respect to the input batch. Intermediate gradients and
+    the parameter gradients are written into ``buffers`` as in
+    ``forward_cached`` (the keys do not collide, so one dict serves
+    both), and the next call with the same ``buffers`` overwrites the
+    returned parameter gradients. The input gradient is a fresh array.
     """
+    if buffers is None:
+        buffers = {}
     out_grad = np.atleast_2d(np.asarray(out_grad, dtype=np.float64))
     if out_grad.shape != cache[-1].shape:
         raise ValueError(
@@ -145,17 +174,30 @@ def backward(
     b_grads: list[np.ndarray] = [np.empty(0)] * n_layers
     g = out_grad
     for i in reversed(range(n_layers)):
-        # Hidden outputs are post-tanh; fold the activation derivative in.
-        gz = g if i == n_layers - 1 else g * (1.0 - cache[i + 1] ** 2)
-        w_grads[i] = cache[i].T @ gz
-        b_grads[i] = gz.sum(axis=0)
-        g = gz @ params.weights[i].T
+        w = params.weights[i]
+        if i == n_layers - 1:
+            gz = g
+        else:
+            # Hidden outputs are post-tanh; fold the activation derivative
+            # g * (1 - h**2) in, one ufunc at a time in that order.
+            gz = np.square(cache[i + 1], out=_buffer(buffers, ("dz", i), g.shape))
+            np.subtract(1.0, gz, out=gz)
+            np.multiply(g, gz, out=gz)
+        w_grads[i] = np.matmul(cache[i].T, gz, out=_buffer(buffers, ("dw", i), w.shape))
+        b_grads[i] = np.sum(gz, axis=0, out=_buffer(buffers, ("db", i), w.shape[1:]))
+        if i > 0:
+            dh = _buffer(buffers, ("dh", i), (gz.shape[0], w.shape[0]))
+            g = np.matmul(gz, w.T, out=dh)
+        else:
+            g = gz @ w.T  # the input gradient, returned in a fresh array
     return MlpParams(w_grads, b_grads), g
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    total = np.exp(z).sum(axis=-1, keepdims=True)
+    z -= np.log(total, out=total)
+    return z
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -165,11 +207,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
     """Draw from the categorical given by ``logits``; return (index, log-prob)."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError(f"non-finite logits: {logits}")
     logp = log_softmax(logits)
-    cdf = np.cumsum(np.exp(logp))
-    action = int(np.searchsorted(cdf, rng.random()))
+    cdf = np.exp(logp).cumsum()
+    action = int(cdf.searchsorted(rng.random()))
     action = min(action, len(logits) - 1)
     return action, float(logp[action])
 
@@ -215,12 +257,25 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
+    # The update below, one ufunc at a time into two scratch arrays:
+    #   m = beta1 * m + (1 - beta1) * g
+    #   v = beta2 * v + (1 - beta2) * g**2
+    #   p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
     for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
+        s = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += s
+        np.square(g, out=s)
+        s *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * g**2
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= lr
+        t = np.divide(v, bc2)
+        np.sqrt(t, out=t)
+        t += eps
+        s /= t
+        p -= s
 
 
 def sgd_step(params: MlpParams, grads: MlpParams, lr: float) -> None:
@@ -297,7 +352,13 @@ def _unpack_net(prefix: str, data) -> tuple[MlpParams, AdamState]:
 def save_bundle(
     path: str | Path, bundle: PolicyBundle, meta: dict[str, int] | None = None
 ) -> None:
-    """Write a versioned checkpoint that ``load_bundle`` restores bit-exactly."""
+    """Write a versioned checkpoint that ``load_bundle`` restores bit-exactly.
+
+    The file is written to exactly ``path`` (no ``.npz`` is appended). It is
+    first written beside it under a temporary name and then renamed onto
+    ``path``, so a write that fails partway leaves the previous checkpoint
+    in place.
+    """
     payload: dict = {
         "version": np.int64(CHECKPOINT_VERSION),
         "optimizer": np.str_(bundle.optimizer),
@@ -306,7 +367,14 @@ def save_bundle(
     _pack_net("value", bundle.value, bundle.value_opt, payload)
     for key, value in (meta or {}).items():
         payload[f"meta_{key}"] = np.int64(value)
-    np.savez(path, **payload)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(fh, **payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_bundle(path: str | Path) -> tuple[PolicyBundle, dict[str, int]]:

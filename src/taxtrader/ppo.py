@@ -14,6 +14,7 @@ returns use the same unit; cash semantics stay with the environment.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,18 +195,29 @@ def value_loss(values_pred: np.ndarray, returns: np.ndarray) -> tuple[float, np.
     return float(np.mean(diff**2)), 2.0 * diff / len(diff)
 
 
-def _entropy_terms(log_probs_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample entropies and d(entropy)/d(logits) for a batch of logits."""
-    probs = np.exp(log_probs_all)
+def _entropy_terms(
+    log_probs_all: np.ndarray, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample entropies and d(entropy)/d(logits) for a batch of logits.
+
+    ``probs`` is ``exp(log_probs_all)``, which the caller already holds.
+    """
     entropies = -np.sum(probs * log_probs_all, axis=1)
     grads = -probs * (log_probs_all + entropies[:, None])
     return entropies, grads
 
 
 def _policy_update(
-    bundle: PolicyBundle, buffer: TrajectoryBuffer, config: PpoConfig
+    bundle: PolicyBundle,
+    buffer: TrajectoryBuffer,
+    config: PpoConfig,
+    buffers: dict,
 ) -> tuple[float, float, float, int]:
-    """Full-batch clipped-gradient steps with KL early stopping."""
+    """Full-batch clipped-gradient steps with KL early stopping.
+
+    ``buffers`` holds the batch-sized scratch arrays of ``nets`` across
+    iterations, so only the first iteration allocates them.
+    """
     obs = buffer.observations
     actions = buffer.actions
     logp_old = buffer.log_probs
@@ -217,23 +229,24 @@ def _policy_update(
     kl = 0.0
     iters_done = 0
     for i in range(config.policy_update_iters):
-        logits, cache = nets.forward_cached(bundle.policy, obs)
+        logits, cache = nets.forward_cached(bundle.policy, obs, buffers)
         logp_all = nets.log_softmax(logits)
         logp_new = logp_all[rows, actions]
         kl = float(np.mean(logp_old - logp_new))
-        entropies, entropy_grads = _entropy_terms(logp_all)
+        probs = np.exp(logp_all)
+        if i == 0 or config.entropy_coef != 0.0:
+            entropies, entropy_grads = _entropy_terms(logp_all, probs)
         loss, dlogp = clipped_policy_loss(logp_new, logp_old, adv, config.clip_ratio)
         if i == 0:
             first_loss = loss
             first_entropy = float(np.mean(entropies))
         if kl > config.target_kl:
             break
-        probs = np.exp(logp_all)
         dlogits = dlogp[:, None] * (-probs)
         dlogits[rows, actions] += dlogp
         if config.entropy_coef != 0.0:
             dlogits -= (config.entropy_coef / n) * entropy_grads
-        grads, _ = nets.backward(bundle.policy, cache, dlogits)
+        grads, _ = nets.backward(bundle.policy, cache, dlogits, buffers)
         nets.apply_update(
             bundle.policy, grads, bundle.policy_opt, config.policy_lr, config.optimizer
         )
@@ -242,17 +255,21 @@ def _policy_update(
 
 
 def _value_update(
-    bundle: PolicyBundle, buffer: TrajectoryBuffer, config: PpoConfig
+    bundle: PolicyBundle,
+    buffer: TrajectoryBuffer,
+    config: PpoConfig,
+    buffers: dict,
 ) -> float:
+    """Full-batch squared-error steps; ``buffers`` as in ``_policy_update``."""
     obs = buffer.observations
     returns = buffer.returns
     first_loss = 0.0
     for i in range(config.value_update_iters):
-        preds, cache = nets.forward_cached(bundle.value, obs)
+        preds, cache = nets.forward_cached(bundle.value, obs, buffers)
         loss, dv = value_loss(preds[:, 0], returns)
         if i == 0:
             first_loss = loss
-        grads, _ = nets.backward(bundle.value, cache, dv[:, None])
+        grads, _ = nets.backward(bundle.value, cache, dv[:, None], buffers)
         nets.apply_update(
             bundle.value, grads, bundle.value_opt, config.value_lr, config.optimizer
         )
@@ -297,8 +314,10 @@ def run_epoch(
     buffer.finalize(
         last_value, config.gamma, config.gae_lambda, config.advantage_normalization
     )
-    policy_loss, entropy, kl, _ = _policy_update(bundle, buffer, config)
-    vloss = _value_update(bundle, buffer, config)
+    # One set of batch-sized scratch arrays serves both update phases.
+    buffers: dict = {}
+    policy_loss, entropy, kl, _ = _policy_update(bundle, buffer, config, buffers)
+    vloss = _value_update(bundle, buffer, config, buffers)
     mean_return = float(np.mean(ep_returns)) if ep_returns else ep_return
     return {
         "mean_episode_return": mean_return,
@@ -307,6 +326,25 @@ def run_epoch(
         "kl": kl,
         "entropy": entropy,
     }
+
+
+def _restart_metrics(path: Path, start_epoch: int) -> None:
+    """Rewrite ``path`` as its header plus the rows of epochs before ``start_epoch``.
+
+    A run writes an epoch's row before that epoch's checkpoint, so a run
+    that stopped between the two left a row that its resumed run writes
+    again. The file is replaced by a rename, so it is never left torn.
+    """
+    kept = []
+    if start_epoch > 0 and path.exists():
+        with path.open(newline="") as fh:
+            kept = [r for r in csv.DictReader(fh) if int(r["epoch"]) < start_epoch]
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=METRIC_FIELDS)
+        writer.writeheader()
+        writer.writerows(kept)
+    os.replace(tmp, path)
 
 
 def train(
@@ -344,11 +382,9 @@ def train(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         metrics_path = out_path / "metrics.csv"
-        fresh = start_epoch == 0 or not metrics_path.exists()
-        metrics_file = metrics_path.open("w" if fresh else "a", newline="")
+        _restart_metrics(metrics_path, start_epoch)
+        metrics_file = metrics_path.open("a", newline="")
         writer = csv.DictWriter(metrics_file, fieldnames=METRIC_FIELDS)
-        if fresh:
-            writer.writeheader()
 
     metrics_rows: list[dict[str, float]] = []
     try:

@@ -1,9 +1,11 @@
 """Command-line behavior: config resolution, subcommands, file outputs."""
 
 import csv
+import os
 import subprocess
 import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,10 +342,14 @@ class TestLedgerReportCommand:
 
 def test_module_entry_point(tmp_path):
     missing = tmp_path / "absent.csv"
+    # The child imports the same package as this process, installed or not.
+    package_root = str(Path(nets.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "taxtrader", "train", "--data", str(missing)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 1
     assert str(missing) in proc.stderr

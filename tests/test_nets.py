@@ -1,6 +1,7 @@
 """MLP forward/backward, categorical head, optimizers, checkpoints."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,3 +325,192 @@ class TestBundleCheckpoint:
         with pytest.raises(ValueError):
             MlpParams(weights=[np.zeros((3, 4)), np.zeros((5, 2))],
                       biases=[np.zeros(4), np.zeros(2)])
+
+
+# Reference versions of the buffered, in-place code paths, written as
+# plain expressions on fresh arrays. The library must reproduce them bit
+# for bit.
+
+
+def oracle_forward_cached(params, x):
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    cache = [h]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if i < last:
+            h = np.tanh(h)
+        cache.append(h)
+    return h, cache
+
+
+def oracle_backward(params, cache, out_grad):
+    n_layers = len(params.weights)
+    w_grads, b_grads = [None] * n_layers, [None] * n_layers
+    g = out_grad
+    for i in reversed(range(n_layers)):
+        gz = g if i == n_layers - 1 else g * (1.0 - cache[i + 1] ** 2)
+        w_grads[i] = cache[i].T @ gz
+        b_grads[i] = gz.sum(axis=0)
+        g = gz @ params.weights[i].T
+    return w_grads + b_grads, g
+
+
+def oracle_log_softmax(logits):
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+
+
+def oracle_sample_action(logits, rng):
+    logits = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite logits")
+    logp = oracle_log_softmax(logits)
+    cdf = np.cumsum(np.exp(logp))
+    action = int(np.searchsorted(cdf, rng.random()))
+    action = min(action, len(logits) - 1)
+    return action, float(logp[action])
+
+
+def oracle_adam_step(arrays, grads, m_list, v_list, t, lr,
+                     beta1=0.9, beta2=0.999, eps=1e-8):
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for p, g, m, v in zip(arrays, grads, m_list, v_list):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def assert_all_equal(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert np.array_equal(a, e)
+
+
+class TestBufferedPassesBitIdentical:
+    def nets_pair(self):
+        rng = np.random.default_rng(31)
+        return small_net(rng, 5, (16, 16), 3), small_net(rng, 5, (16, 16), 3), rng
+
+    def test_forward_cached_reuses_buffers_and_matches_oracle(self):
+        first, second, rng = self.nets_pair()
+        x = rng.normal(size=(40, 5))
+        buffers = {}
+        out1, cache1 = forward_cached(first, x, buffers)
+        expected_out, expected_cache = oracle_forward_cached(first, x)
+        assert np.array_equal(out1, expected_out)
+        assert_all_equal(cache1, expected_cache)
+        kept = list(cache1)
+        out2, cache2 = forward_cached(second, x, buffers)
+        expected_out, expected_cache = oracle_forward_cached(second, x)
+        assert np.array_equal(out2, expected_out)
+        assert_all_equal(cache2, expected_cache)
+        assert out2 is out1
+        assert all(a is b for a, b in zip(cache2[1:], kept[1:]))
+        # A new batch size reallocates and still matches.
+        x_small = rng.normal(size=(7, 5))
+        out3, cache3 = forward_cached(second, x_small, buffers)
+        expected_out, expected_cache = oracle_forward_cached(second, x_small)
+        assert np.array_equal(out3, expected_out)
+        assert_all_equal(cache3, expected_cache)
+        assert out3 is not out1 and out3.shape == (7, 3)
+
+    def test_backward_reuses_buffers_and_matches_oracle(self):
+        first, second, rng = self.nets_pair()
+        x = rng.normal(size=(40, 5))
+        buffers = {}
+        results = []
+        for params, n in ((first, 40), (second, 40), (second, 9)):
+            xs = x[:n]
+            out_grad = rng.normal(size=(n, 3))
+            _, cache = forward_cached(params, xs, buffers)
+            grads, input_grad = backward(params, cache, out_grad, buffers)
+            _, oracle_cache = oracle_forward_cached(params, xs)
+            expected_grads, expected_input = oracle_backward(
+                params, oracle_cache, out_grad
+            )
+            assert_all_equal(grads.weights + grads.biases, expected_grads)
+            assert np.array_equal(input_grad, expected_input)
+            results.append((grads, input_grad, expected_input))
+        (g1, in1, exp1), (_, in2, _), (g3, _, _) = results
+        # Parameter gradients keep their shape at any batch size; every
+        # batch-sized buffer was reallocated for the 9-row batch.
+        assert all(a is b for a, b in zip(g3.arrays(), g1.arrays()))
+        assert not any(a.shape[0] == 40 for a in buffers.values())
+        # The input gradient is the caller's to keep.
+        assert in2 is not in1
+        assert np.array_equal(in1, exp1)
+
+    def test_single_observation_forward_matches_oracle(self):
+        first, _, rng = self.nets_pair()
+        for _ in range(50):
+            x = rng.normal(scale=rng.uniform(0.1, 30.0), size=5)
+            expected, _ = oracle_forward_cached(first, x)
+            assert np.array_equal(forward(first, x), expected[0])
+
+    def test_log_softmax_matches_oracle(self):
+        rng = np.random.default_rng(32)
+        for shape in ((3,), (50, 3), (4, 7)):
+            logits = rng.normal(scale=20.0, size=shape)
+            assert np.array_equal(log_softmax(logits), oracle_log_softmax(logits))
+
+    def test_sample_action_matches_oracle(self):
+        rng = np.random.default_rng(33)
+        cases = [rng.normal(scale=rng.uniform(0.01, 50.0), size=3) for _ in range(500)]
+        cases += [np.array([1000.0, 0.0, 0.0]), np.array([0.0, 0.0, 1e3]), np.zeros(3)]
+        draw_new, draw_old = np.random.default_rng(5), np.random.default_rng(5)
+        for logits in cases:
+            assert sample_action(logits, draw_new) == oracle_sample_action(
+                logits, draw_old
+            )
+
+    def test_adam_step_matches_oracle(self):
+        first, _, rng = self.nets_pair()
+        reference = first.copy()
+        state = AdamState.zeros_like(first)
+        ref_m = [np.zeros_like(a) for a in reference.arrays()]
+        ref_v = [np.zeros_like(a) for a in reference.arrays()]
+        for t in range(1, 6):
+            grads = MlpParams(
+                weights=[rng.normal(size=w.shape) for w in first.weights],
+                biases=[rng.normal(size=b.shape) for b in first.biases],
+            )
+            adam_step(first, grads, state, lr=1e-2)
+            oracle_adam_step(reference.arrays(), grads.arrays(), ref_m, ref_v, t, 1e-2)
+            assert_all_equal(first.arrays(), reference.arrays())
+            assert_all_equal(state.m, ref_m)
+            assert_all_equal(state.v, ref_v)
+
+
+class TestAtomicCheckpoint:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.npz"
+        old = init_bundle(np.random.default_rng(1), obs_dim=5)
+        save_bundle(path, old, meta={"epoch": 1})
+
+        def torn_savez(file, **payload):
+            # Write part of an archive, then fail as a full disk would.
+            if hasattr(file, "write"):
+                file.write(b"PK\x03\x04 torn")
+            else:
+                Path(file).write_bytes(b"PK\x03\x04 torn")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(nets.np, "savez", torn_savez)
+        new = init_bundle(np.random.default_rng(2), obs_dim=5)
+        with pytest.raises(OSError, match="no space"):
+            save_bundle(path, new, meta={"epoch": 2})
+        monkeypatch.undo()
+        loaded, meta = load_bundle(path)
+        assert meta == {"epoch": 1}
+        assert_all_equal(loaded.policy.arrays(), old.policy.arrays())
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        path = tmp_path / "policy"
+        save_bundle(path, init_bundle(np.random.default_rng(0), obs_dim=5))
+        assert [p.name for p in tmp_path.iterdir()] == ["policy"]
+        load_bundle(path)

@@ -1,6 +1,8 @@
 """GAE, clipped surrogate, update mechanics, and trainer determinism."""
 
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from taxtrader.market_data import synthetic_gbm
 from taxtrader.ppo import (
     PpoConfig,
     TrajectoryBuffer,
+    _policy_update,
+    _value_update,
     clipped_policy_loss,
     compute_gae,
     run_epoch,
@@ -336,3 +340,113 @@ class TestTrain:
             assert np.array_equal(a, b)
         for a, b in zip(full_bundle.value.arrays(), resumed_bundle.value.arrays()):
             assert np.array_equal(a, b)
+
+    def test_resume_drops_rows_past_the_checkpoint(self, tmp_path, monkeypatch):
+        # A run that stops after writing epoch 2's metrics row but before
+        # saving its checkpoint resumes from epoch 2 and writes that row again.
+        ppo_config, env_config, series = smoke_setup(epochs=3)
+        real_save = nets.save_bundle
+
+        def save_then_crash(path, bundle, meta=None):
+            if meta["epoch"] == 3:
+                raise KeyboardInterrupt
+            real_save(path, bundle, meta)
+
+        monkeypatch.setattr(nets, "save_bundle", save_then_crash)
+        with pytest.raises(KeyboardInterrupt):
+            train(ppo_config, env_config, series, seed=6, out_dir=tmp_path)
+        monkeypatch.undo()
+        train(ppo_config, env_config, series, seed=6, out_dir=tmp_path,
+              resume_from=tmp_path / "checkpoint.npz")
+        with (tmp_path / "metrics.csv").open(newline="") as fh:
+            epochs = [int(row["epoch"]) for row in csv.DictReader(fh)]
+        assert epochs == [0, 1, 2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.npz", "metrics.csv"
+        ]
+
+
+def filled_buffer(n, obs_dim=5, seed=40):
+    rng = np.random.default_rng(seed)
+    buf = TrajectoryBuffer(obs_dim, n)
+    for i in range(n):
+        buf.store(rng.normal(size=obs_dim), int(rng.integers(3)), float(rng.normal()),
+                  float(rng.normal()), float(np.log(1 / 3) + rng.normal(scale=0.1)),
+                  i % 50 == 49)
+    buf.finalize(0.0, 0.99, 0.97, normalize=True)
+    return buf
+
+
+def oracle_policy_update(bundle, buffer, config):
+    """Reference policy update: fresh arrays, every term computed on every step."""
+    obs, actions = buffer.observations, buffer.actions
+    logp_old, adv = buffer.log_probs, buffer.advantages
+    n = len(actions)
+    rows = np.arange(n)
+    first_loss = first_entropy = kl = 0.0
+    iters_done = 0
+    for i in range(config.policy_update_iters):
+        logits, cache = nets.forward_cached(bundle.policy, obs)
+        logp_all = nets.log_softmax(logits)
+        logp_new = logp_all[rows, actions]
+        kl = float(np.mean(logp_old - logp_new))
+        probs_e = np.exp(logp_all)
+        entropies = -np.sum(probs_e * logp_all, axis=1)
+        entropy_grads = -probs_e * (logp_all + entropies[:, None])
+        loss, dlogp = clipped_policy_loss(logp_new, logp_old, adv, config.clip_ratio)
+        if i == 0:
+            first_loss, first_entropy = loss, float(np.mean(entropies))
+        if kl > config.target_kl:
+            break
+        probs = np.exp(logp_all)
+        dlogits = dlogp[:, None] * (-probs)
+        dlogits[rows, actions] += dlogp
+        if config.entropy_coef != 0.0:
+            dlogits -= (config.entropy_coef / n) * entropy_grads
+        grads, _ = nets.backward(bundle.policy, cache, dlogits)
+        nets.apply_update(bundle.policy, grads, bundle.policy_opt,
+                          config.policy_lr, config.optimizer)
+        iters_done += 1
+    return first_loss, first_entropy, kl, iters_done
+
+
+class TestUpdateBuffers:
+    @pytest.mark.parametrize("entropy_coef", [0.0, 0.05])
+    def test_policy_update_matches_oracle(self, entropy_coef):
+        buffer = filled_buffer(300)
+        config = PpoConfig(policy_update_iters=12, target_kl=0.02,
+                           entropy_coef=entropy_coef)
+        bundle = nets.init_bundle(np.random.default_rng([41, 0]), 5)
+        reference = nets.init_bundle(np.random.default_rng([41, 0]), 5)
+        result = _policy_update(bundle, buffer, config, {})
+        assert result == oracle_policy_update(reference, buffer, config)
+        for a, b in zip(bundle.policy.arrays(), reference.policy.arrays()):
+            assert np.array_equal(a, b)
+
+    def test_warm_iteration_allocates_no_hidden_sized_array(self):
+        n, hidden = 4000, 128
+        batch_hidden_bytes = n * hidden * 8
+        buffer = filled_buffer(n)
+        bundle = nets.init_bundle(np.random.default_rng([42, 0]), 5,
+                                  hidden=(hidden, hidden))
+        config = PpoConfig(policy_update_iters=1, value_update_iters=1,
+                           target_kl=math.inf)
+
+        def peak_growth(update, buffers):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                update(bundle, buffer, config, buffers)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # With fresh buffers an iteration allocates hidden-sized arrays,
+        # which shows that the measurement sees numpy's allocations.
+        assert peak_growth(_policy_update, {}) > 2 * batch_hidden_bytes
+        # The value phase reuses the policy phase's buffers, as in run_epoch.
+        # Peak growth below one such array: none was ever allocated.
+        buffers = {}
+        _policy_update(bundle, buffer, config, buffers)
+        for update in (_value_update, _policy_update):
+            assert peak_growth(update, buffers) < batch_hidden_bytes
