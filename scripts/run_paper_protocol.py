@@ -82,14 +82,17 @@ def main() -> None:
     ppo_config = PpoConfig(epochs=args.epochs, steps_per_epoch=args.steps_per_epoch)
 
     print(f"{'seed':>6} {'no-tax env':>12} {'tax-aware':>12} {'tax-naive':>12} "
-          f"{'rel loss':>10}")
+          f"{'abs gap':>10} {'rel loss':>10}")
     started = time.perf_counter()
     for seed in args.seeds:
         free, aware, naive = run_seed(
             series, seed, ppo_config, args.episode_length, args.out
         )
-        rel = (aware - naive) / aware if aware != 0 else float("nan")
-        print(f"{seed:>6} {free:>12.4f} {aware:>12.4f} {naive:>12.4f} {rel:>10.3f}")
+        # The relative loss flips sign when aware <= 0; the gap does not.
+        gap = aware - naive
+        rel = gap / aware if aware != 0 else float("nan")
+        print(f"{seed:>6} {free:>12.4f} {aware:>12.4f} {naive:>12.4f} {gap:>10.4f} "
+              f"{rel:>10.3f}")
     print(f"total {time.perf_counter() - started:.0f}s; outputs in {args.out}")
 
 

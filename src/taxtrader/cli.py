@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Protocol, Sequence
 
 import numpy as np
 
@@ -239,68 +239,150 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-ActorFactory = Callable[[np.random.Generator], Callable[[np.ndarray], int]]
+class BatchActor(Protocol):
+    """Picks one action per live lane from their observations each tick.
+
+    ``draws`` says whether the actor consumes one uniform per lane per
+    step; if it does, it receives them as ``uniforms``, else ``None``.
+    """
+
+    draws: bool
+
+    def __call__(
+        self, observations: list[np.ndarray], uniforms: np.ndarray | None
+    ) -> list[int]: ...
 
 
-def bundle_actor(bundle: nets.PolicyBundle, greedy: bool = False) -> ActorFactory:
-    def make(rng: np.random.Generator) -> Callable[[np.ndarray], int]:
-        def act(obs: np.ndarray) -> int:
-            logits = nets.forward(bundle.policy, obs)
-            if greedy:
-                return int(np.argmax(logits))
-            return nets.sample_action(logits, rng)[0]
+@dataclass(frozen=True)
+class PolicyActor:
+    """A policy that samples from its logits, or takes their argmax if greedy."""
 
-        return act
+    policy: nets.MlpParams
+    greedy: bool = False
 
-    return make
+    @property
+    def draws(self) -> bool:
+        return not self.greedy
+
+    def __call__(
+        self, observations: list[np.ndarray], uniforms: np.ndarray | None
+    ) -> list[int]:
+        logits = nets.forward(self.policy, observations)
+        if self.greedy:
+            return logits.argmax(axis=-1).tolist()
+        return nets.sample_actions(logits, uniforms).tolist()
+
+
+@dataclass(frozen=True)
+class ConstantActor:
+    """A scripted baseline: one fixed action, whatever it observes."""
+
+    action: int
+    draws: ClassVar[bool] = False
+
+    def __call__(
+        self, observations: list[np.ndarray], uniforms: np.ndarray | None
+    ) -> list[int]:
+        return [self.action] * len(observations)
+
+
+def bundle_actor(bundle: nets.PolicyBundle, greedy: bool = False) -> PolicyActor:
+    return PolicyActor(bundle.policy, greedy)
 
 
 BASELINES = {"short": 0, "flat": 1, "long": 2}
 
 
-def baseline_actor(name: str) -> ActorFactory:
+def baseline_actor(name: str) -> ConstantActor:
     if name not in BASELINES:
         raise ConfigError(f"unknown baseline {name!r}; choose from {sorted(BASELINES)}")
-    action = BASELINES[name]
+    return ConstantActor(BASELINES[name])
 
-    def make(rng: np.random.Generator) -> Callable[[np.ndarray], int]:
-        return lambda obs: action
 
-    return make
+def _lane(env: TradingEnv, window: EpisodeWindow):
+    """One episode as a generator: yields observations, is sent actions.
+
+    Returns the episode's ``EpisodeStats`` when the window ends.
+    """
+    obs = env.reset(window)
+    denom = env.config.lot_size * env.first_price
+    reward = taxes = rebates = costs = 0.0
+    done = False
+    while not done:
+        transition = env.step((yield obs))
+        reward += transition.reward
+        taxes += transition.cashflow.gain_tax
+        rebates += transition.cashflow.loss_rebate
+        costs += transition.cashflow.txn_cost
+        obs = transition.observation
+        done = transition.done
+    return EpisodeStats(
+        window_start=window.start_index,
+        episode_return=reward / denom,
+        gain_tax=taxes,
+        loss_rebate=rebates,
+        txn_cost=costs,
+    )
+
+
+# Steps of uniforms drawn per lane at once: few generator calls, and a
+# small buffer however long the windows are.
+_DRAW_BLOCK = 64
+
+
+def _lane_uniforms(n_lanes: int, seed: int):
+    """Yields, step by step, one uniform per lane.
+
+    Lane ``k`` draws from its own (seed, 101, k) stream, ``_DRAW_BLOCK``
+    steps at a time: ``random(n)`` gives the same values as ``n`` calls
+    of ``random()``. Draws past a lane's last step are never used.
+    """
+    rngs = [np.random.default_rng([seed, 101, k]) for k in range(n_lanes)]
+    while True:
+        yield from np.stack([rng.random(_DRAW_BLOCK) for rng in rngs], axis=1)
 
 
 def run_episodes(
     env: TradingEnv,
-    actor_factory: ActorFactory,
+    actor: BatchActor,
     windows: Sequence[EpisodeWindow],
     seed: int,
 ) -> list[EpisodeStats]:
-    """Roll one episode per window; episode ``k`` uses the (seed, k) stream."""
-    stats = []
-    for ep, window in enumerate(windows):
-        rng = np.random.default_rng([seed, 101, ep])
-        act = actor_factory(rng)
-        obs = env.reset(window)
-        denom = env.config.lot_size * env.first_price
-        reward = taxes = rebates = costs = 0.0
-        done = False
-        while not done:
-            transition = env.step(act(obs))
-            reward += transition.reward
-            taxes += transition.cashflow.gain_tax
-            rebates += transition.cashflow.loss_rebate
-            costs += transition.cashflow.txn_cost
-            obs = transition.observation
-            done = transition.done
-        stats.append(
-            EpisodeStats(
-                window_start=window.start_index,
-                episode_return=reward / denom,
-                gain_tax=taxes,
-                loss_rebate=rebates,
-                txn_cost=costs,
-            )
-        )
+    """Roll one episode per window, all windows in lockstep.
+
+    Each window is a lane with its own environment; ``env`` runs the
+    first and the others copy its config and series. Every window is
+    reset (and validated) before any lane steps. Each tick makes one
+    batched actor call over the live lanes' observations, then steps
+    every live lane once; a lane leaves when its window ends. Episode
+    ``k`` samples from its own (seed, 101, k) stream, as it would alone.
+
+    Each episode's outputs equal those of playing the windows one at a
+    time, except where a logit's last bits decide an action: a B-row
+    matrix product can differ from the one-row product in the last bits
+    (up to about 1e-17 for a freshly initialized policy), so an action
+    changes only if a uniform lands within that distance of a CDF
+    boundary, or on a near-tie of logits under ``greedy``.
+    """
+    envs = [env] + [TradingEnv(env.config, env.series) for _ in windows[1:]]
+    lanes = [_lane(e, w) for e, w in zip(envs, windows)]
+    obs = [next(lane) for lane in lanes]
+    uniforms = _lane_uniforms(len(lanes), seed) if actor.draws else None
+    stats: list = [None] * len(lanes)
+    live = list(range(len(lanes)))
+    live_cols: slice | list[int] = slice(None)
+    while live:
+        actions = actor(obs, None if uniforms is None else next(uniforms)[live_cols])
+        obs = []
+        ended = False
+        for k, action in zip(live, actions):
+            try:
+                obs.append(lanes[k].send(action))
+            except StopIteration as stop:
+                stats[k] = stop.value
+                ended = True
+        if ended:
+            live = live_cols = [k for k in live if stats[k] is None]
     return stats
 
 
@@ -499,9 +581,10 @@ def cmd_cross_eval(cfg: RunConfig) -> int:
         raise RuntimeError("cross-eval window mismatch between policies")
     mean_aware = float(np.mean([e.episode_return for e in aware_stats]))
     mean_naive = float(np.mean([e.episode_return for e in naive_stats]))
-    relative_loss = (
-        (mean_aware - mean_naive) / mean_aware if mean_aware != 0 else float("nan")
-    )
+    # The relative loss divides by mean_aware, so its sign flips when
+    # mean_aware <= 0; the absolute gap beside it does not.
+    absolute_gap = mean_aware - mean_naive
+    relative_loss = absolute_gap / mean_aware if mean_aware != 0 else float("nan")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report = "\n".join(
@@ -509,6 +592,7 @@ def cmd_cross_eval(cfg: RunConfig) -> int:
             f"n_episodes: {len(windows)}",
             f"mean_return_tax_aware: {mean_aware!r}",
             f"mean_return_tax_naive: {mean_naive!r}",
+            f"absolute_gap: {absolute_gap!r}",
             f"relative_loss: {relative_loss!r}",
             "windows_identical: true",
         ]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ledger import BasisState, TaxCashflow, TaxParams, step_ledger, transaction_cost
+from .ledger import BasisState, TaxCashflow, TaxParams, step_ledger
 from .market_data import EpisodeWindow, PriceSeries
 
 __all__ = ["Action", "EnvConfig", "Transition", "TradingEnv", "episode_return"]
@@ -105,7 +105,7 @@ class TradingEnv:
         self.state = BasisState.flat(first)
         cfg = self.config
         self._price_scale = cfg.price_scale if cfg.price_scale is not None else first
-        return self._observation()
+        return self._observation(window.start_index)
 
     def step(self, action: int) -> Transition:
         """Trade toward the action's target position at the next close."""
@@ -114,47 +114,50 @@ class TradingEnv:
         if action not in (0, 1, 2):
             raise ValueError(f"action must be 0, 1, or 2, got {action}")
         cfg = self.config
-        idx = self.window.start_index + self._t
-        price_now = float(self.series.closes[idx])
-        price_next = float(self.series.closes[idx + 1])
+        window = self._window
+        idx = window.start_index + self._t
+        closes = self.series.closes
+        price_now = float(closes[idx])
+        price_next = float(closes[idx + 1])
         target = cfg.lot_size * _ACTION_SIGN[action]
         prev = self.state
         new_state, cashflow = step_ledger(prev, price_next, target, cfg.tax_params)
-        if not cfg.tax_enabled:
+        if not cfg.tax_enabled and (cashflow.gain_tax or cashflow.loss_rebate):
             cashflow = TaxCashflow(
-                gain_tax=0.0,
-                loss_rebate=0.0,
-                txn_cost=transaction_cost(prev, price_next, target, cfg.tax_params),
+                gain_tax=0.0, loss_rebate=0.0, txn_cost=cashflow.txn_cost
             )
         reward = prev.position * (price_next - price_now) + cashflow.net
         self.state = new_state
         self._t += 1
-        self._done = self._t >= self.window.length
+        self._done = self._t >= window.length
         return Transition(
-            observation=self._observation(),
+            observation=self._observation(idx + 1),
             action=int(action),
             reward=reward,
             cashflow=cashflow,
             done=self._done,
         )
 
-    def _observation(self) -> np.ndarray:
+    def _observation(self, idx: int) -> np.ndarray:
+        """Features at series row ``idx``, the episode's current step."""
         cfg = self.config
-        idx = self.window.start_index + self._t
+        state = self.state
+        price_scale = self._price_scale
         volume_scale = (
             cfg.volume_scale if cfg.volume_scale is not None else self._mean_volume
         )
-        position_scale = (
-            cfg.position_scale if cfg.position_scale is not None else cfg.lot_size
-        )
-        obs = np.empty(self.obs_dim)
-        obs[0] = self.series.closes[idx] / self._price_scale
-        obs[1] = self.series.volumes[idx] / volume_scale
-        obs[2] = self.state.avg_basis / self._price_scale
-        obs[3] = self.state.avg_holding / cfg.holding_scale
+        features = [
+            float(self.series.closes[idx]) / price_scale,
+            float(self.series.volumes[idx]) / volume_scale,
+            state.avg_basis / price_scale,
+            state.avg_holding / cfg.holding_scale,
+        ]
         if cfg.include_position:
-            obs[4] = self.state.position / position_scale
-        return obs
+            position_scale = (
+                cfg.position_scale if cfg.position_scale is not None else cfg.lot_size
+            )
+            features.append(state.position / position_scale)
+        return np.array(features)
 
 
 def episode_return(

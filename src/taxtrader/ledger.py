@@ -137,6 +137,11 @@ class TaxCashflow:
         return self.loss_rebate - self.gain_tax - self.txn_cost
 
 
+# The cashflow of every step that realizes nothing and costs nothing (a
+# hold, or staying flat): one shared immutable value, not one per step.
+_NO_CASHFLOW = TaxCashflow(gain_tax=0.0, loss_rebate=0.0, txn_cost=0.0)
+
+
 def basis_branch(prev_position: float, next_position: float) -> int:
     """Which of the three update branches applies (1 reset, 2 short-grow, 3 blend)."""
     if prev_position * next_position <= 0:
@@ -246,12 +251,16 @@ def compute_tax(
     rate when it is a loss. The holding period of the state *before* the
     transition selects the rate. Under the "economic" convention the
     gain/loss roles are swapped for realizations that close short
-    exposure.
+    exposure. A step that realizes nothing and costs nothing returns one
+    shared zero cashflow.
     """
     if next_price <= 0:
         raise ValueError(f"next_price must be positive, got {next_price}")
     sold, covered = _realized_split(prev.position, next_position)
     quantity = sold + covered
+    cost = transaction_cost(prev, next_price, next_position, params)
+    if quantity == 0 and cost == 0:
+        return _NO_CASHFLOW
     gain_tax = 0.0
     loss_rebate = 0.0
     if quantity > 0:
@@ -267,7 +276,6 @@ def compute_tax(
             gain_tax = edge * quantity * gain_rate
         else:
             loss_rebate = -edge * quantity * params.rate_short
-    cost = transaction_cost(prev, next_price, next_position, params)
     return TaxCashflow(gain_tax=gain_tax, loss_rebate=loss_rebate, txn_cost=cost)
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "log_softmax",
     "softmax",
     "sample_action",
+    "sample_actions",
     "log_prob_and_entropy",
     "adam_step",
     "sgd_step",
@@ -214,6 +215,21 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, fl
     action = int(cdf.searchsorted(rng.random()))
     action = min(action, len(logits) - 1)
     return action, float(logp[action])
+
+
+def sample_actions(logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One categorical draw per row of ``logits`` (B, n), given its uniform.
+
+    Row ``i`` gets the action ``sample_action`` returns for ``logits[i]``
+    when its generator's next ``random()`` is ``uniforms[i]``: the index of
+    the first CDF entry not below the uniform, clamped to the last action.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    if not np.isfinite(logits).all():
+        raise ValueError(f"non-finite logits: {logits}")
+    cdf = np.exp(log_softmax(logits)).cumsum(axis=-1)
+    actions = (cdf < uniforms[:, None]).sum(axis=-1)
+    return np.minimum(actions, logits.shape[-1] - 1, out=actions)
 
 
 def log_prob_and_entropy(logits: np.ndarray, action: int) -> tuple[float, float]:

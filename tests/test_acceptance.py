@@ -370,6 +370,7 @@ def mean_and_se(values):
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
+@pytest.mark.slow
 def test_criterion_6_learning_smoke():
     start = time.perf_counter()
     seed = 6
@@ -418,6 +419,7 @@ def test_criterion_6_learning_smoke():
 # the tax-free environment's return must top the taxed one.
 
 
+@pytest.mark.slow
 def test_criterion_7_paper_protocol_directional():
     start = time.perf_counter()
     series = load_csv(DATA_DIR / "synthetic_daily.csv")

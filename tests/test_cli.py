@@ -10,16 +10,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taxtrader import nets
+from taxtrader import cli, nets
 from taxtrader.cli import (
+    BASELINES,
+    EpisodeStats,
+    baseline_actor,
     build_parser,
+    bundle_actor,
     main,
     read_trade_log,
     replay_trades,
     resolve_config,
+    run_episodes,
 )
+from taxtrader.env import EnvConfig, TradingEnv
 from taxtrader.ledger import BasisState, TaxParams, step_ledger
-from taxtrader.market_data import synthetic_gbm, write_csv
+from taxtrader.market_data import (
+    EpisodeWindow,
+    MarketDataError,
+    synthetic_gbm,
+    write_csv,
+)
 
 
 @pytest.fixture
@@ -234,6 +245,29 @@ class TestCrossEvalCommand:
         assert float(values["mean_return_tax_aware"]) > 0.0
         assert float(values["relative_loss"]) == 1.0
 
+    def test_absolute_gap_keeps_its_sign_when_aware_loses(self, drift_csv, tmp_path):
+        # Always-short (as the taxed policy) loses on a rising series, so
+        # mean_aware < 0: the relative loss divides by it and reads +1 for
+        # a policy that did worse, while the absolute gap stays negative.
+        short_ckpt = constant_action_checkpoint(tmp_path / "short.npz", action=0)
+        flat_ckpt = constant_action_checkpoint(tmp_path / "flat.npz", action=1)
+        out = tmp_path / "cross"
+        rc = main(
+            ["cross-eval"] + smoke_flags(drift_csv, out)
+            + [
+                "--checkpoint-no-tax", str(flat_ckpt),
+                "--checkpoint-with-tax", str(short_ckpt),
+            ]
+        )
+        assert rc == 0
+        lines = (out / "cross_eval_report.txt").read_text().splitlines()
+        values = {k: v for k, v in (line.split(": ") for line in lines)}
+        aware = float(values["mean_return_tax_aware"])
+        naive = float(values["mean_return_tax_naive"])
+        assert aware < 0.0 and naive == 0.0
+        assert float(values["absolute_gap"]) == aware - naive
+        assert float(values["relative_loss"]) == 1.0
+
     def test_window_columns_present(self, drift_csv, tmp_path):
         ckpt = constant_action_checkpoint(tmp_path / "l.npz", action=2)
         out = tmp_path / "cross"
@@ -247,6 +281,181 @@ class TestCrossEvalCommand:
         assert set(rows[0]) == {
             "episode", "window_start", "return_tax_aware", "return_tax_naive"
         }
+
+
+# ---------------------------------------------------------------------------
+# Lockstep evaluation against the sequential loop it replaced: one window
+# at a time, episode k with its own (seed, 101, k) generator and a
+# single-observation policy call per step.
+
+
+def sequential_run_episodes(env, act_for, windows, seed):
+    stats = []
+    for ep, window in enumerate(windows):
+        act = act_for(np.random.default_rng([seed, 101, ep]))
+        obs = env.reset(window)
+        denom = env.config.lot_size * env.first_price
+        reward = taxes = rebates = costs = 0.0
+        done = False
+        while not done:
+            transition = env.step(act(obs))
+            reward += transition.reward
+            taxes += transition.cashflow.gain_tax
+            rebates += transition.cashflow.loss_rebate
+            costs += transition.cashflow.txn_cost
+            obs = transition.observation
+            done = transition.done
+        stats.append(
+            EpisodeStats(
+                window_start=window.start_index,
+                episode_return=reward / denom,
+                gain_tax=taxes,
+                loss_rebate=rebates,
+                txn_cost=costs,
+            )
+        )
+    return stats
+
+
+def sequential_policy(bundle, greedy=False):
+    def make(rng):
+        def act(obs):
+            logits = nets.forward(bundle.policy, obs)
+            if greedy:
+                return int(np.argmax(logits))
+            return nets.sample_action(logits, rng)[0]
+
+        return act
+
+    return make
+
+
+def sequential_baseline(action):
+    return lambda rng: lambda obs: action
+
+
+def stats_bits(stats):
+    return [
+        (
+            e.window_start,
+            np.array(
+                [e.episode_return, e.gain_tax, e.loss_rebate, e.txn_cost]
+            ).tobytes(),
+        )
+        for e in stats
+    ]
+
+
+@pytest.fixture(scope="module")
+def lane_series():
+    return synthetic_gbm(seed=3, n_days=300, s0=50.0, mu=0.1, sigma=0.4)
+
+
+def lane_env(series, tax=True):
+    return TradingEnv(EnvConfig(tax_enabled=tax, episode_length=60), series)
+
+
+def spread_bundle():
+    """A fresh policy with scaled-up layers on whose windows below both the
+    sampled and the greedy actor take every action."""
+    bundle = nets.init_bundle(np.random.default_rng(0), 5)
+    bundle.policy.weights[0] *= 20.0
+    bundle.policy.weights[-1] *= 3.0
+    return bundle
+
+
+# Some windows outlast the block of uniforms a lane draws at once.
+EQUAL = [EpisodeWindow(s, 70) for s in (0, 17, 40, 100, 160, 220)]
+UNEQUAL = [
+    EpisodeWindow(0, 60), EpisodeWindow(30, 5), EpisodeWindow(200, 1),
+    EpisodeWindow(90, 33), EpisodeWindow(10, 150), EpisodeWindow(150, 12),
+]
+SINGLE = [EpisodeWindow(70, 130)]
+
+
+class TestLockstepMatchesSequential:
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("tax", [True, False])
+    @pytest.mark.parametrize("windows", [EQUAL, UNEQUAL, SINGLE],
+                             ids=["equal", "unequal", "single"])
+    def test_policy_actor(self, lane_series, greedy, tax, windows):
+        bundle = spread_bundle()
+        got = run_episodes(
+            lane_env(lane_series, tax), bundle_actor(bundle, greedy), windows, 9
+        )
+        expected = sequential_run_episodes(
+            lane_env(lane_series, tax), sequential_policy(bundle, greedy), windows, 9
+        )
+        assert stats_bits(got) == stats_bits(expected)
+
+    @pytest.mark.parametrize("name", sorted(BASELINES))
+    @pytest.mark.parametrize("tax", [True, False])
+    @pytest.mark.parametrize("windows", [EQUAL, UNEQUAL, SINGLE],
+                             ids=["equal", "unequal", "single"])
+    def test_baseline_actor(self, lane_series, name, tax, windows):
+        got = run_episodes(
+            lane_env(lane_series, tax), baseline_actor(name), windows, 9
+        )
+        expected = sequential_run_episodes(
+            lane_env(lane_series, tax),
+            sequential_baseline(BASELINES[name]),
+            windows,
+            9,
+        )
+        assert stats_bits(got) == stats_bits(expected)
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_policy_takes_every_action(self, lane_series, monkeypatch, greedy):
+        # Guards the oracle comparisons above against a degenerate policy.
+        taken = []
+        act = cli.PolicyActor.__call__
+
+        def recording_act(self, observations, uniforms):
+            actions = act(self, observations, uniforms)
+            taken.extend(actions)
+            return actions
+
+        monkeypatch.setattr(cli.PolicyActor, "__call__", recording_act)
+        stats = run_episodes(
+            lane_env(lane_series), bundle_actor(spread_bundle(), greedy), EQUAL, 9
+        )
+        assert set(taken) == {0, 1, 2}
+        assert sum(e.gain_tax + e.loss_rebate for e in stats) > 0
+
+    def test_env_argument_runs_the_first_window(self, lane_series):
+        env = lane_env(lane_series)
+        run_episodes(env, baseline_actor("long"), UNEQUAL, 0)
+        assert env.window == UNEQUAL[0]
+        assert env.state.position == 100.0
+
+    def test_no_windows(self, lane_series):
+        assert run_episodes(lane_env(lane_series), baseline_actor("long"), [], 0) == []
+
+    def test_invalid_window_raises_before_any_step(self, lane_series, monkeypatch):
+        steps = []
+        original = TradingEnv.step
+        monkeypatch.setattr(
+            TradingEnv, "step", lambda self, a: steps.append(a) or original(self, a)
+        )
+        windows = EQUAL[:3] + [EpisodeWindow(len(lane_series) - 5, 10)]
+        with pytest.raises(MarketDataError, match="exceeds series"):
+            run_episodes(lane_env(lane_series), baseline_actor("long"), windows, 0)
+        assert steps == []
+
+    def test_nan_logits_raise(self, lane_series):
+        bundle = spread_bundle()
+        bundle.policy.biases[-1][1] = np.nan
+        with pytest.raises(ValueError, match="non-finite logits"):
+            run_episodes(lane_env(lane_series), bundle_actor(bundle), EQUAL, 0)
+
+    def test_baseline_draws_nothing(self, lane_series, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a baseline drew uniforms")
+
+        monkeypatch.setattr(cli, "_lane_uniforms", no_draws)
+        for greedy_or_baseline in (baseline_actor("flat"),
+                                   bundle_actor(spread_bundle(), greedy=True)):
+            run_episodes(lane_env(lane_series), greedy_or_baseline, EQUAL, 0)
 
 
 def worked_example_log(tmp_path):

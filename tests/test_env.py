@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from taxtrader.env import Action, EnvConfig, TradingEnv, episode_return
-from taxtrader.ledger import BasisState, TaxParams
+from taxtrader.ledger import (
+    BasisState,
+    TaxCashflow,
+    TaxParams,
+    step_ledger,
+    transaction_cost,
+)
 from taxtrader.market_data import EpisodeWindow, PriceSeries, synthetic_gbm
 
 LOT = 100.0
@@ -269,3 +275,85 @@ class TestInvariants:
                 checked += 1
                 assert results[True] <= results[False] + 1e-9
         assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# The step and observation as written before the per-step trims, kept as
+# the reference the environment must reproduce bit for bit.
+
+
+def reference_episode(env, window, actions):
+    """(observation, reward, cashflow, done) per step, by the old body."""
+    series, cfg = env.series, env.config
+    mean_volume = float(series.volumes.mean())
+    first = float(series.closes[window.start_index])
+    price_scale = cfg.price_scale if cfg.price_scale is not None else first
+    state = BasisState.flat(first)
+
+    def observation(t):
+        idx = window.start_index + t
+        volume_scale = (
+            cfg.volume_scale if cfg.volume_scale is not None else mean_volume
+        )
+        position_scale = (
+            cfg.position_scale if cfg.position_scale is not None else cfg.lot_size
+        )
+        obs = np.empty(5 if cfg.include_position else 4)
+        obs[0] = series.closes[idx] / price_scale
+        obs[1] = series.volumes[idx] / volume_scale
+        obs[2] = state.avg_basis / price_scale
+        obs[3] = state.avg_holding / cfg.holding_scale
+        if cfg.include_position:
+            obs[4] = state.position / position_scale
+        return obs
+
+    out = [(observation(0), None, None, False)]
+    for t, action in enumerate(actions):
+        idx = window.start_index + t
+        price_now = float(series.closes[idx])
+        price_next = float(series.closes[idx + 1])
+        target = cfg.lot_size * (-1.0, 0.0, 1.0)[action]
+        prev = state
+        state, cashflow = step_ledger(prev, price_next, target, cfg.tax_params)
+        if not cfg.tax_enabled:
+            cashflow = TaxCashflow(
+                gain_tax=0.0,
+                loss_rebate=0.0,
+                txn_cost=transaction_cost(prev, price_next, target, cfg.tax_params),
+            )
+        reward = prev.position * (price_next - price_now) + cashflow.net
+        out.append((observation(t + 1), reward, cashflow, t + 1 >= window.length))
+    return out
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestStepMatchesReference:
+    @pytest.mark.parametrize("tax", [True, False])
+    @pytest.mark.parametrize("include_position", [True, False])
+    @pytest.mark.parametrize("cost_mode", ["notional", "pnl"])
+    def test_bit_identical_episodes(self, tax, include_position, cost_mode):
+        rng = np.random.default_rng(17)
+        series = synthetic_gbm(seed=18, n_days=120, s0=80.0, mu=0.1, sigma=0.5)
+        config = EnvConfig(
+            tax_enabled=tax, lot_size=LOT, episode_length=40,
+            tax_params=TaxParams(txn_cost_mode=cost_mode),
+            include_position=include_position,
+        )
+        env = TradingEnv(config, series)
+        for _ in range(20):
+            window = EpisodeWindow(int(rng.integers(0, len(series) - 41)), 40)
+            # Runs of repeated actions make holds; switches make trades.
+            actions = [int(a) for a in np.repeat(rng.integers(0, 3, 20), 2)]
+            expected = reference_episode(env, window, actions)
+            assert bits(env.reset(window)) == bits(expected[0][0])
+            for action, (obs, reward, cashflow, done) in zip(actions, expected[1:]):
+                tr = env.step(action)
+                assert bits(tr.observation) == bits(obs)
+                assert bits([tr.reward]) == bits([reward])
+                for field in ("gain_tax", "loss_rebate", "txn_cost"):
+                    got = getattr(tr.cashflow, field)
+                    assert bits([got]) == bits([getattr(cashflow, field)])
+                assert tr.done == done

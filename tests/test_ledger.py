@@ -1,6 +1,7 @@
 """Ledger tests: worked scenario, branch arithmetic, and accounting oracles."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from taxtrader.ledger import (
     BasisState,
     LedgerError,
+    TaxCashflow,
     TaxParams,
     basis_branch,
     compute_tax,
@@ -439,3 +441,109 @@ class TestStepLedger:
             assert math.isclose(
                 wealth, realized + unrealized, rel_tol=1e-9, abs_tol=1e-6
             )
+
+
+# ---------------------------------------------------------------------------
+# The step as it was written before the shared zero cashflow: a separate
+# tax and cost computation per step and a new cashflow every time. The
+# ledger must reproduce it bit for bit.
+
+
+def reference_step_ledger(prev, next_price, next_position, params):
+    if next_price <= 0:
+        raise ValueError(f"next_price must be positive, got {next_price}")
+    a, a_next = prev.position, next_position
+    sold = a - max(a_next, 0.0) if (a >= a_next and a >= 0) else 0.0
+    covered = -(a + max(-a_next, 0.0)) if (a <= a_next and a <= 0) else 0.0
+    quantity = sold + covered
+    gain_tax = 0.0
+    loss_rebate = 0.0
+    if quantity > 0:
+        edge = next_price - prev.avg_basis
+        if covered > 0 and params.short_cover_convention == "economic":
+            edge = -edge
+        if edge >= 0:
+            gain_rate = (
+                params.rate_short
+                if prev.avg_holding < params.long_term_threshold
+                else params.rate_long
+            )
+            gain_tax = edge * quantity * gain_rate
+        else:
+            loss_rebate = -edge * quantity * params.rate_short
+    if params.txn_cost_mode == "notional":
+        cost = params.txn_cost_rate * next_price * abs(next_position - prev.position)
+    else:
+        cost = params.txn_cost_rate * abs(next_price - prev.avg_basis) * quantity
+    cashflow = TaxCashflow(gain_tax=gain_tax, loss_rebate=loss_rebate, txn_cost=cost)
+    basis = update_basis(prev, next_price, next_position)
+    holding = update_holding(prev, basis, next_price, next_position, params.dt)
+    state = BasisState(
+        position=float(next_position), avg_basis=basis, avg_holding=holding
+    )
+    return state, cashflow
+
+
+def float_bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+POSITIONS = st.one_of(
+    st.sampled_from(GRID), st.floats(-300.0, 300.0, allow_subnormal=False)
+)
+
+
+class TestStepLedgerMatchesReference:
+    @given(
+        position=POSITIONS,
+        basis=st.floats(1.0, 500.0),
+        holding=st.floats(0.0, 600.0),
+        price=st.floats(1.0, 500.0),
+        target=st.one_of(POSITIONS, st.none()),
+        rate=st.sampled_from([0.0, 0.001, 0.01]),
+        mode=st.sampled_from(["notional", "pnl"]),
+        convention=st.sampled_from(["as-written", "economic"]),
+    )
+    @settings(max_examples=400)
+    def test_bit_identical(
+        self, position, basis, holding, price, target, rate, mode, convention
+    ):
+        # ``None`` holds the position, the case the shared cashflow serves.
+        target = position if target is None else target
+        prev = BasisState(position=position, avg_basis=basis, avg_holding=holding)
+        params = TaxParams(
+            txn_cost_rate=rate, txn_cost_mode=mode, short_cover_convention=convention
+        )
+        try:
+            expected = reference_step_ledger(prev, price, target, params)
+        except LedgerError:
+            with pytest.raises(LedgerError):
+                step_ledger(prev, price, target, params)
+            return
+        state, cashflow = step_ledger(prev, price, target, params)
+        exp_state, exp_cashflow = expected
+        assert float_bits(
+            [state.position, state.avg_basis, state.avg_holding]
+        ) == float_bits(
+            [exp_state.position, exp_state.avg_basis, exp_state.avg_holding]
+        )
+        assert float_bits(
+            [cashflow.gain_tax, cashflow.loss_rebate, cashflow.txn_cost, cashflow.net]
+        ) == float_bits(
+            [
+                exp_cashflow.gain_tax,
+                exp_cashflow.loss_rebate,
+                exp_cashflow.txn_cost,
+                exp_cashflow.net,
+            ]
+        )
+
+    def test_hold_shares_one_zero_cashflow(self):
+        params = TaxParams()
+        prev = BasisState(position=100.0, avg_basis=90.0, avg_holding=3.0)
+        _, first = step_ledger(prev, 95.0, 100.0, params)
+        _, second = step_ledger(prev, 80.0, 100.0, params)
+        assert first is second
+        assert (first.gain_tax, first.loss_rebate, first.txn_cost) == (0.0, 0.0, 0.0)
+        _, traded = step_ledger(prev, 95.0, 0.0, params)
+        assert traded is not first

@@ -22,6 +22,7 @@ from taxtrader.nets import (
     log_prob_and_entropy,
     log_softmax,
     sample_action,
+    sample_actions,
     save_bundle,
     sgd_step,
     softmax,
@@ -466,6 +467,37 @@ class TestBufferedPassesBitIdentical:
             assert sample_action(logits, draw_new) == oracle_sample_action(
                 logits, draw_old
             )
+
+    def test_batched_draw_matches_row_by_row_draws(self):
+        # Each row's uniform is what that row's own generator would draw
+        # next, so the batched draw must agree with sample_action and with
+        # the oracle, row by row, on the same streams.
+        rng = np.random.default_rng(34)
+        for rows in (1, 2, 16, 100):
+            logits = rng.normal(scale=rng.uniform(0.01, 50.0), size=(rows, 3))
+            logits[0] = (1000.0, 0.0, 0.0)
+            streams = [np.random.default_rng([34, rows, i]) for i in range(rows)]
+            uniforms = np.array([s.random() for s in streams])
+            streams = [np.random.default_rng([34, rows, i]) for i in range(rows)]
+            oracles = [np.random.default_rng([34, rows, i]) for i in range(rows)]
+            actions = sample_actions(logits, uniforms)
+            for row, stream, oracle, action in zip(logits, streams, oracles, actions):
+                assert sample_action(row, stream)[0] == action
+                assert oracle_sample_action(row, oracle)[0] == action
+
+    def test_batched_draw_covers_every_action_and_the_cdf_edges(self):
+        logits = np.zeros((5, 3))
+        cdf = np.exp(log_softmax(logits[0])).cumsum()
+        uniforms = np.array([0.0, cdf[0], np.nextafter(cdf[0], 1.0), cdf[1], 1.0])
+        expected = [min(int(np.searchsorted(cdf, u)), 2) for u in uniforms]
+        assert sample_actions(logits, uniforms).tolist() == expected
+        assert set(expected) == {0, 1, 2}
+
+    def test_batched_draw_rejects_non_finite_logits(self):
+        logits = np.zeros((3, 3))
+        logits[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_actions(logits, np.full(3, 0.5))
 
     def test_adam_step_matches_oracle(self):
         first, _, rng = self.nets_pair()
