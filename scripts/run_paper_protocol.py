@@ -18,36 +18,33 @@ from pathlib import Path
 
 import numpy as np
 
-from taxtrader.cli import bundle_actor, run_episodes
+from taxtrader.cli import bundle_actor, run_episodes, sample_windows, tax_gap
 from taxtrader.env import EnvConfig, TradingEnv
-from taxtrader.market_data import load_csv, sample_window
+from taxtrader.market_data import load_csv
 from taxtrader.ppo import PpoConfig, train
 
 DEFAULT_DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic_daily.csv"
 
 
 def run_seed(series, seed, ppo_config, episode_length, out_dir):
+    configs = {
+        taxed: EnvConfig(tax_enabled=taxed, episode_length=episode_length)
+        for taxed in (False, True)
+    }
     bundles = {}
-    for taxed in (False, True):
-        env_config = EnvConfig(tax_enabled=taxed, episode_length=episode_length)
+    for taxed, env_config in configs.items():
         label = "with_tax" if taxed else "no_tax"
-        bundle, _ = train(
+        bundles[taxed], _ = train(
             ppo_config,
             env_config,
             series,
             seed,
             out_dir=out_dir / f"seed{seed}_{label}",
         )
-        bundles[taxed] = bundle
 
-    rng = np.random.default_rng([seed, 100])
-    windows = [sample_window(series, episode_length, rng) for _ in range(100)]
-    taxed_env = TradingEnv(
-        EnvConfig(tax_enabled=True, episode_length=episode_length), series
-    )
-    free_env = TradingEnv(
-        EnvConfig(tax_enabled=False, episode_length=episode_length), series
-    )
+    windows = sample_windows(series, episode_length, 100, seed)
+    taxed_env = TradingEnv(configs[True], series)
+    free_env = TradingEnv(configs[False], series)
     aware = run_episodes(taxed_env, bundle_actor(bundles[True]), windows, seed)
     naive = run_episodes(taxed_env, bundle_actor(bundles[False]), windows, seed)
     free = run_episodes(free_env, bundle_actor(bundles[False]), windows, seed)
@@ -88,9 +85,7 @@ def main() -> None:
         free, aware, naive = run_seed(
             series, seed, ppo_config, args.episode_length, args.out
         )
-        # The relative loss flips sign when aware <= 0; the gap does not.
-        gap = aware - naive
-        rel = gap / aware if aware != 0 else float("nan")
+        gap, rel = tax_gap(aware, naive)
         print(f"{seed:>6} {free:>12.4f} {aware:>12.4f} {naive:>12.4f} {gap:>10.4f} "
               f"{rel:>10.3f}")
     print(f"total {time.perf_counter() - started:.0f}s; outputs in {args.out}")

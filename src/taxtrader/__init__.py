@@ -5,7 +5,7 @@ an episodic trading environment that feeds tax cashflows into the reward,
 and a from-scratch PPO trainer with an evaluation command line.
 """
 
-from .env import Action, EnvConfig, TradingEnv, Transition, episode_return
+from .env import Action, EnvConfig, TradingEnv, Transition
 from .ledger import (
     BasisState,
     LedgerError,
@@ -50,7 +50,6 @@ __all__ = [
     "Transition",
     "compute_gae",
     "compute_tax",
-    "episode_return",
     "init_bundle",
     "load_bundle",
     "load_csv",

@@ -2,7 +2,10 @@
 
 Configuration values resolve in increasing precedence: built-in defaults,
 a flat ``key = value`` config file (``--config``), environment variables
-prefixed ``TAXTRADER_``, then command-line flags of the same name.
+prefixed ``TAXTRADER_``, then command-line flags of the same name. Apart
+from the command line's own keys (``RunConfig``), every key is a field of
+``EnvConfig``, ``TaxParams`` or ``PpoConfig``, which defines its default
+and checks its value.
 
 Subcommands:
   train          fit a policy on a price CSV, write checkpoint + metrics
@@ -17,7 +20,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date
 from pathlib import Path
 from typing import Callable, ClassVar, Protocol, Sequence
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import nets
 from .env import EnvConfig, TradingEnv
-from .ledger import BasisState, TaxParams, step_ledger
+from .ledger import DAYS_PER_STEP, BasisState, TaxParams, step_ledger
 from .market_data import (
     EpisodeWindow,
     MarketDataError,
@@ -38,7 +41,8 @@ from .ppo import PpoConfig, train
 
 ENV_PREFIX = "TAXTRADER_"
 
-__all__ = ["main", "RunConfig", "EvalReport", "run_episodes", "replay_trades"]
+__all__ = ["main", "RunConfig", "CONFIG_KEYS", "EvalReport", "run_episodes",
+           "sample_windows", "tax_gap", "replay_trades"]
 
 
 class ConfigError(ValueError):
@@ -56,34 +60,12 @@ def _parse_bool(raw: str) -> bool:
 
 @dataclass
 class RunConfig:
-    """Every tunable of the toolkit, resolvable from file, env, or flags."""
+    """The command line's own settings, plus the environment (with its
+    tax parameters) and training configs that hold every other setting."""
 
     data: str | None = None
     out: str = "out"
     seed: int = 0
-    tax: bool = True
-    epochs: int = 50
-    steps_per_epoch: int = 5000
-    clip_ratio: float = 0.2
-    gae_lambda: float = 0.97
-    gamma: float = 0.99
-    policy_lr: float = 1e-3
-    value_lr: float = 3e-4
-    policy_update_iters: int = 80
-    value_update_iters: int = 80
-    target_kl: float = 0.015
-    advantage_normalization: bool = True
-    entropy_coef: float = 0.0
-    optimizer: str = "adam"
-    lot_size: float = 100.0
-    episode_length: int = 1260
-    include_position: bool = True
-    rate_long: float = 0.15
-    rate_short: float = 0.25
-    long_term_threshold: float = 252.0
-    txn_cost_rate: float = 0.001
-    txn_cost_mode: str = "notional"
-    short_cover_convention: str = "as-written"
     n_episodes: int = 100
     greedy: bool = False
     checkpoint: str | None = None
@@ -91,68 +73,57 @@ class RunConfig:
     checkpoint_no_tax: str | None = None
     checkpoint_with_tax: str | None = None
     trade_log: str | None = None
-
-    def tax_params(self) -> TaxParams:
-        return TaxParams(
-            rate_long=self.rate_long,
-            rate_short=self.rate_short,
-            long_term_threshold=self.long_term_threshold,
-            txn_cost_rate=self.txn_cost_rate,
-            txn_cost_mode=self.txn_cost_mode,
-            short_cover_convention=self.short_cover_convention,
-        )
-
-    def env_config(self, tax_enabled: bool | None = None) -> EnvConfig:
-        return EnvConfig(
-            tax_enabled=self.tax if tax_enabled is None else tax_enabled,
-            lot_size=self.lot_size,
-            episode_length=self.episode_length,
-            tax_params=self.tax_params(),
-            include_position=self.include_position,
-        )
-
-    def ppo_config(self) -> PpoConfig:
-        return PpoConfig(
-            clip_ratio=self.clip_ratio,
-            gae_lambda=self.gae_lambda,
-            gamma=self.gamma,
-            steps_per_epoch=self.steps_per_epoch,
-            epochs=self.epochs,
-            policy_lr=self.policy_lr,
-            value_lr=self.value_lr,
-            policy_update_iters=self.policy_update_iters,
-            value_update_iters=self.value_update_iters,
-            target_kl=self.target_kl,
-            advantage_normalization=self.advantage_normalization,
-            entropy_coef=self.entropy_coef,
-            optimizer=self.optimizer,
-        )
+    env: EnvConfig = field(default_factory=EnvConfig)
+    ppo: PpoConfig = field(default_factory=PpoConfig)
 
 
-_BOOL_KEYS = {"tax", "advantage_normalization", "include_position", "greedy"}
-_CONVERTERS: dict[str, Callable[[str], object]] = {}
-for f in fields(RunConfig):
-    if f.name in _BOOL_KEYS:
-        _CONVERTERS[f.name] = _parse_bool
-    elif f.type in ("int",):
-        _CONVERTERS[f.name] = int
-    elif f.type in ("float",):
-        _CONVERTERS[f.name] = float
-    else:
-        _CONVERTERS[f.name] = str
+@dataclass(frozen=True)
+class ConfigKey:
+    """Where one config key lands: a field of ``owner``, parsed by ``parse``."""
+
+    owner: type
+    name: str
+    parse: Callable[[str], object]
 
 
-def _apply_key(cfg: RunConfig, key: str, raw: str, source: str) -> None:
+_OWNERS = (RunConfig, EnvConfig, TaxParams, PpoConfig)
+# Keys named differently from their field.
+_KEY_NAMES = {"tax_enabled": "tax"}
+
+
+def _parser_for(default: object) -> Callable[[str], object]:
+    # bool before int: a bool is an int too.
+    for kind, parse in ((bool, _parse_bool), (int, int), (float, float)):
+        if isinstance(default, kind):
+            return parse
+    return str
+
+
+def _key_table() -> dict[str, ConfigKey]:
+    """One key per field with a plain default; nested configs have none."""
+    table = {}
+    for owner in _OWNERS:
+        for f in fields(owner):
+            if f.default is not MISSING:
+                key = _KEY_NAMES.get(f.name, f.name)
+                table[key] = ConfigKey(owner, f.name, _parser_for(f.default))
+    return table
+
+
+CONFIG_KEYS = _key_table()
+
+
+def _apply_key(values: dict, key: str, raw: str, source: str) -> None:
     key = key.strip().replace("-", "_")
-    if key not in _CONVERTERS:
+    if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r} (from {source})")
     try:
-        setattr(cfg, key, _CONVERTERS[key](raw.strip()))
+        values[key] = CONFIG_KEYS[key].parse(raw.strip())
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad value for {key!r} (from {source}): {exc}") from None
 
 
-def _load_config_file(cfg: RunConfig, path: str) -> None:
+def _load_config_file(values: dict, path: str) -> None:
     config_path = Path(path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
@@ -163,22 +134,32 @@ def _load_config_file(cfg: RunConfig, path: str) -> None:
         if "=" not in stripped:
             raise ConfigError(f"{config_path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
-        _apply_key(cfg, key, raw, f"{config_path}:{lineno}")
+        _apply_key(values, key, raw, f"{config_path}:{lineno}")
+
+
+def _build_config(values: dict) -> RunConfig:
+    """The configs from the resolved values; each validates its own fields."""
+    given: dict[type, dict] = {owner: {} for owner in _OWNERS}
+    for key, value in values.items():
+        target = CONFIG_KEYS[key]
+        given[target.owner][target.name] = value
+    env = EnvConfig(tax_params=TaxParams(**given[TaxParams]), **given[EnvConfig])
+    return RunConfig(env=env, ppo=PpoConfig(**given[PpoConfig]), **given[RunConfig])
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    values: dict[str, object] = {}
     if args.config:
-        _load_config_file(cfg, args.config)
-    for key in _CONVERTERS:
+        _load_config_file(values, args.config)
+    for key in CONFIG_KEYS:
         env_value = os.environ.get(ENV_PREFIX + key.upper())
         if env_value is not None:
-            _apply_key(cfg, key, env_value, f"env {ENV_PREFIX}{key.upper()}")
-    for key in _CONVERTERS:
+            _apply_key(values, key, env_value, f"env {ENV_PREFIX}{key.upper()}")
+    for key in CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            _apply_key(cfg, key, flag_value, f"flag --{key.replace('_', '-')}")
-    return cfg
+            _apply_key(values, key, flag_value, f"flag --{key.replace('_', '-')}")
+    return _build_config(values)
 
 
 def _load_series(cfg: RunConfig) -> PriceSeries:
@@ -386,11 +367,22 @@ def run_episodes(
     return stats
 
 
-def _sample_windows(
+def sample_windows(
     series: PriceSeries, length: int, n: int, seed: int
 ) -> list[EpisodeWindow]:
+    """The ``n`` evaluation windows of ``seed``, drawn from its (seed, 100) stream."""
     rng = np.random.default_rng([seed, 100])
     return [sample_window(series, length, rng) for _ in range(n)]
+
+
+def tax_gap(mean_aware: float, mean_naive: float) -> tuple[float, float]:
+    """The absolute gap and the relative loss of tax-naive against tax-aware.
+
+    The relative loss divides the gap by ``mean_aware``, so its sign flips
+    when ``mean_aware <= 0``; the absolute gap's does not.
+    """
+    gap = mean_aware - mean_naive
+    return gap, gap / mean_aware if mean_aware != 0 else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +464,7 @@ def replay_trades(
             for _ in range(gap - 1):
                 state, _ = step_ledger(state, prev_price, state.position, params)
         holding_at_trade = (
-            state.avg_holding + params.dt if state.position != 0 else 0.0
+            state.avg_holding + DAYS_PER_STEP if state.position != 0 else 0.0
         )
         basis_before = state.avg_basis
         state, cashflow = step_ledger(state, price, target, params)
@@ -503,22 +495,17 @@ def replay_trades(
 def cmd_train(cfg: RunConfig) -> int:
     series = _load_series(cfg)
     out = Path(cfg.out)
-    bundle, rows = train(
-        cfg.ppo_config(), cfg.env_config(), series, cfg.seed, out_dir=out
-    )
-    del bundle
+    _, rows = train(cfg.ppo, cfg.env, series, cfg.seed, out_dir=out)
     print(f"trained {len(rows)} epochs")
     print(f"checkpoint: {out / 'checkpoint.npz'}")
     print(f"metrics: {out / 'metrics.csv'}")
     return 0
 
 
-def _write_eval_outputs(
-    out: Path, report: EvalReport, prefix: str = "eval"
-) -> None:
+def _write_eval_outputs(out: Path, report: EvalReport) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{prefix}_report.txt").write_text(report.to_text())
-    with (out / f"{prefix}_episodes.csv").open("w", newline="") as fh:
+    (out / "eval_report.txt").write_text(report.to_text())
+    with (out / "eval_episodes.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["episode", "window_start", "episode_return", "gain_tax",
@@ -531,25 +518,29 @@ def _write_eval_outputs(
             )
 
 
+def _load_policy(path: str, env: TradingEnv) -> nets.PolicyBundle:
+    """The checkpoint at ``path``, refused unless it fits ``env``'s features."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"checkpoint not found: {path}")
+    bundle, _ = nets.load_bundle(path)
+    if bundle.policy.in_dim != env.obs_dim:
+        raise ConfigError(
+            f"checkpoint {path} expects {bundle.policy.in_dim} features, "
+            f"environment provides {env.obs_dim}"
+        )
+    return bundle
+
+
 def cmd_eval(cfg: RunConfig) -> int:
     series = _load_series(cfg)
     if (cfg.checkpoint is None) == (cfg.baseline is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --baseline")
+    env = TradingEnv(cfg.env, series)
     if cfg.checkpoint is not None:
-        if not Path(cfg.checkpoint).exists():
-            raise FileNotFoundError(f"checkpoint not found: {cfg.checkpoint}")
-        bundle, _ = nets.load_bundle(cfg.checkpoint)
-        actor = bundle_actor(bundle, greedy=cfg.greedy)
-        env_probe = TradingEnv(cfg.env_config(), series)
-        if bundle.policy.in_dim != env_probe.obs_dim:
-            raise ConfigError(
-                f"checkpoint expects {bundle.policy.in_dim} features, "
-                f"environment provides {env_probe.obs_dim}"
-            )
+        actor = bundle_actor(_load_policy(cfg.checkpoint, env), cfg.greedy)
     else:
         actor = baseline_actor(cfg.baseline)
-    env = TradingEnv(cfg.env_config(), series)
-    windows = _sample_windows(series, cfg.episode_length, cfg.n_episodes, cfg.seed)
+    windows = sample_windows(series, cfg.env.episode_length, cfg.n_episodes, cfg.seed)
     report = EvalReport.from_episodes(run_episodes(env, actor, windows, cfg.seed))
     _write_eval_outputs(Path(cfg.out), report)
     print(report.to_text(), end="")
@@ -562,29 +553,19 @@ def cmd_cross_eval(cfg: RunConfig) -> int:
         raise ConfigError(
             "cross-eval needs --checkpoint-no-tax and --checkpoint-with-tax"
         )
-    for path in (cfg.checkpoint_no_tax, cfg.checkpoint_with_tax):
-        if not Path(path).exists():
-            raise FileNotFoundError(f"checkpoint not found: {path}")
-    naive, _ = nets.load_bundle(cfg.checkpoint_no_tax)
-    aware, _ = nets.load_bundle(cfg.checkpoint_with_tax)
-    windows = _sample_windows(series, cfg.episode_length, cfg.n_episodes, cfg.seed)
-    taxed_env = TradingEnv(cfg.env_config(tax_enabled=True), series)
+    taxed_env = TradingEnv(replace(cfg.env, tax_enabled=True), series)
+    naive = _load_policy(cfg.checkpoint_no_tax, taxed_env)
+    aware = _load_policy(cfg.checkpoint_with_tax, taxed_env)
+    windows = sample_windows(series, cfg.env.episode_length, cfg.n_episodes, cfg.seed)
     aware_stats = run_episodes(
         taxed_env, bundle_actor(aware, cfg.greedy), windows, cfg.seed
     )
     naive_stats = run_episodes(
         taxed_env, bundle_actor(naive, cfg.greedy), windows, cfg.seed
     )
-    aware_starts = [e.window_start for e in aware_stats]
-    naive_starts = [e.window_start for e in naive_stats]
-    if aware_starts != naive_starts:
-        raise RuntimeError("cross-eval window mismatch between policies")
     mean_aware = float(np.mean([e.episode_return for e in aware_stats]))
     mean_naive = float(np.mean([e.episode_return for e in naive_stats]))
-    # The relative loss divides by mean_aware, so its sign flips when
-    # mean_aware <= 0; the absolute gap beside it does not.
-    absolute_gap = mean_aware - mean_naive
-    relative_loss = absolute_gap / mean_aware if mean_aware != 0 else float("nan")
+    absolute_gap, relative_loss = tax_gap(mean_aware, mean_naive)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report = "\n".join(
@@ -615,7 +596,7 @@ def cmd_ledger_report(cfg: RunConfig) -> int:
     if cfg.trade_log is None:
         raise ConfigError("ledger-report needs --trade-log")
     rows = read_trade_log(cfg.trade_log)
-    lines, totals, final_state = replay_trades(rows, cfg.tax_params())
+    lines, totals, final_state = replay_trades(rows, cfg.env.tax_params)
     header = (
         f"{'date':<12}{'price':>10}{'position':>10}{'basis':>10}"
         f"{'held_days':>10}{'held_yrs':>9}{'gain_tax':>12}{'rebate':>12}{'cost':>10}"
@@ -648,9 +629,9 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key = value config file")
-    for key in _CONVERTERS:
+    for key, target in CONFIG_KEYS.items():
         flag = "--" + key.replace("_", "-")
-        metavar = "on|off" if key in _BOOL_KEYS else "VALUE"
+        metavar = "on|off" if target.parse is _parse_bool else "VALUE"
         shared.add_argument(flag, dest=key, metavar=metavar, default=None)
     parser = argparse.ArgumentParser(
         prog="taxtrader",
@@ -672,14 +653,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)
-    except (
-        ConfigError,
-        MarketDataError,
-        FileNotFoundError,
-        NotImplementedError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # Config, data and checkpoint errors are ValueErrors or OSErrors.
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Sequence
 
 import numpy as np
 
 from .ledger import BasisState, TaxCashflow, TaxParams, step_ledger
 from .market_data import EpisodeWindow, PriceSeries
 
-__all__ = ["Action", "EnvConfig", "Transition", "TradingEnv", "episode_return"]
+__all__ = ["Action", "EnvConfig", "Transition", "TradingEnv"]
 
 
 class Action(IntEnum):
@@ -30,16 +29,20 @@ class Action(IntEnum):
 
 _ACTION_SIGN = (-1.0, 0.0, 1.0)
 
+# Trading days in a year: the holding-period feature's unit.
+_TRADING_YEAR = 252.0
+
 
 @dataclass
 class EnvConfig:
-    """Environment knobs; scale fields of ``None`` use the documented defaults.
+    """Environment settings.
 
-    Prices and the average basis are normalized by the window's first
-    price, volume by the series mean volume, holding by one trading year,
-    and position by the lot size. ``include_position`` adds the current
-    position to the four market observables; turning it off leaves the
-    process partially observed.
+    The observation scales are fixed: prices and the average basis are
+    divided by the window's first price, volume by the series mean
+    volume, holding by one trading year (252 days), and position by the
+    lot size. ``include_position`` adds the current position to the four
+    market observables; turning it off leaves the process partially
+    observed.
     """
 
     tax_enabled: bool = True
@@ -47,10 +50,6 @@ class EnvConfig:
     episode_length: int = 1260
     tax_params: TaxParams = field(default_factory=TaxParams)
     include_position: bool = True
-    price_scale: float | None = None
-    volume_scale: float | None = None
-    holding_scale: float = 252.0
-    position_scale: float | None = None
 
     def __post_init__(self) -> None:
         if self.lot_size <= 0:
@@ -62,7 +61,6 @@ class EnvConfig:
 @dataclass(frozen=True)
 class Transition:
     observation: np.ndarray
-    action: int
     reward: float
     cashflow: TaxCashflow
     done: bool
@@ -103,8 +101,7 @@ class TradingEnv:
         self._done = False
         first = float(self.series.closes[window.start_index])
         self.state = BasisState.flat(first)
-        cfg = self.config
-        self._price_scale = cfg.price_scale if cfg.price_scale is not None else first
+        self._price_scale = first
         return self._observation(window.start_index)
 
     def step(self, action: int) -> Transition:
@@ -132,7 +129,6 @@ class TradingEnv:
         self._done = self._t >= window.length
         return Transition(
             observation=self._observation(idx + 1),
-            action=int(action),
             reward=reward,
             cashflow=cashflow,
             done=self._done,
@@ -140,31 +136,14 @@ class TradingEnv:
 
     def _observation(self, idx: int) -> np.ndarray:
         """Features at series row ``idx``, the episode's current step."""
-        cfg = self.config
         state = self.state
         price_scale = self._price_scale
-        volume_scale = (
-            cfg.volume_scale if cfg.volume_scale is not None else self._mean_volume
-        )
         features = [
             float(self.series.closes[idx]) / price_scale,
-            float(self.series.volumes[idx]) / volume_scale,
+            float(self.series.volumes[idx]) / self._mean_volume,
             state.avg_basis / price_scale,
-            state.avg_holding / cfg.holding_scale,
+            state.avg_holding / _TRADING_YEAR,
         ]
-        if cfg.include_position:
-            position_scale = (
-                cfg.position_scale if cfg.position_scale is not None else cfg.lot_size
-            )
-            features.append(state.position / position_scale)
+        if self.config.include_position:
+            features.append(state.position / self.config.lot_size)
         return np.array(features)
-
-
-def episode_return(
-    transitions: Sequence[Transition], lot_size: float, first_price: float
-) -> float:
-    """Sum of rewards over one initial lot notional, dimensionless."""
-    if not transitions:
-        raise ValueError("empty episode")
-    total = sum(t.reward for t in transitions)
-    return total / (lot_size * first_price)

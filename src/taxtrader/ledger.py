@@ -53,6 +53,9 @@ __all__ = [
 TXN_COST_MODES = ("notional", "pnl")
 SHORT_COVER_CONVENTIONS = ("as-written", "economic")
 
+# One ledger step is one trading day: an open position ages by this much.
+DAYS_PER_STEP = 1.0
+
 
 class LedgerError(RuntimeError):
     """Internal-logic failure (unreachable denominator); aborts the step."""
@@ -84,20 +87,17 @@ class BasisState:
 class TaxParams:
     """Tax rates, long-term threshold, and transaction-cost settings.
 
-    ``annual_loss_offset_cap`` records the statutory cap on using excess
-    capital losses against ordinary income. The per-step ledger cannot
-    enforce an annual cap (it would need non-Markov year-to-date state),
-    so losses rebate uncapped and setting the field raises.
+    There is no annual cap on offsetting ordinary income with excess
+    capital losses: the per-step ledger cannot enforce one (it would need
+    non-Markov year-to-date state), so losses rebate uncapped.
     """
 
     rate_long: float = 0.15
     rate_short: float = 0.25
     long_term_threshold: float = 252.0
     txn_cost_rate: float = 0.001
-    dt: float = 1.0
     txn_cost_mode: str = "notional"
     short_cover_convention: str = "as-written"
-    annual_loss_offset_cap: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate_long <= self.rate_short < 1.0:
@@ -109,18 +109,11 @@ class TaxParams:
             raise ValueError("long_term_threshold must be positive")
         if self.txn_cost_rate < 0:
             raise ValueError("txn_cost_rate must be non-negative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.txn_cost_mode not in TXN_COST_MODES:
             raise ValueError(f"txn_cost_mode must be one of {TXN_COST_MODES}")
         if self.short_cover_convention not in SHORT_COVER_CONVENTIONS:
             raise ValueError(
                 f"short_cover_convention must be one of {SHORT_COVER_CONVENTIONS}"
-            )
-        if self.annual_loss_offset_cap is not None:
-            raise NotImplementedError(
-                "annual_loss_offset_cap is a documented stub: the per-step "
-                "ledger rebates losses uncapped"
             )
 
 
@@ -291,7 +284,7 @@ def step_ledger(
     """
     cashflow = compute_tax(prev, next_price, next_position, params)
     basis = update_basis(prev, next_price, next_position)
-    holding = update_holding(prev, basis, next_price, next_position, params.dt)
+    holding = update_holding(prev, basis, next_price, next_position, DAYS_PER_STEP)
     state = BasisState(
         position=float(next_position), avg_basis=basis, avg_holding=holding
     )

@@ -29,13 +29,13 @@ __all__ = [
     "sample_actions",
     "log_prob_and_entropy",
     "adam_step",
-    "sgd_step",
-    "apply_update",
     "save_bundle",
     "load_bundle",
 ]
 
 CHECKPOINT_VERSION = 1
+# Checkpoints name their optimizer; Adam is the only one.
+CHECKPOINT_OPTIMIZER = "adam"
 
 
 @dataclass
@@ -66,7 +66,7 @@ class MlpParams:
         return self.weights[-1].shape[1]
 
     def arrays(self) -> list[np.ndarray]:
-        """Flat [W0, b0, W1, b1, ...] view used by the optimizers."""
+        """Flat [W0, b0, W1, b1, ...] view used by the optimizer."""
         out: list[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
@@ -294,24 +294,16 @@ def adam_step(
         p -= s
 
 
-def sgd_step(params: MlpParams, grads: MlpParams, lr: float) -> None:
-    for p, g in zip(params.arrays(), grads.arrays()):
-        p -= lr * g
-
-
 @dataclass
 class PolicyBundle:
-    """Policy and value parameter sets plus their optimizer state."""
+    """Policy and value parameter sets plus their Adam state."""
 
     policy: MlpParams
     value: MlpParams
     policy_opt: AdamState = field(init=False)
     value_opt: AdamState = field(init=False)
-    optimizer: str = "adam"
 
     def __post_init__(self) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         self.policy_opt = AdamState.zeros_like(self.policy)
         self.value_opt = AdamState.zeros_like(self.value)
 
@@ -321,27 +313,11 @@ def init_bundle(
     obs_dim: int,
     n_actions: int = 3,
     hidden: tuple[int, ...] = (64, 64),
-    optimizer: str = "adam",
 ) -> PolicyBundle:
     """Fresh 64-64 tanh policy/value pair; policy output layer scaled by 0.01."""
     policy = init_mlp(rng, obs_dim, hidden, n_actions, out_scale=0.01)
     value = init_mlp(rng, obs_dim, hidden, 1, out_scale=1.0)
-    return PolicyBundle(policy=policy, value=value, optimizer=optimizer)
-
-
-def apply_update(
-    params: MlpParams,
-    grads: MlpParams,
-    state: AdamState,
-    lr: float,
-    optimizer: str,
-) -> None:
-    if optimizer == "adam":
-        adam_step(params, grads, state, lr)
-    elif optimizer == "sgd":
-        sgd_step(params, grads, lr)
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    return PolicyBundle(policy=policy, value=value)
 
 
 def _pack_net(prefix: str, params: MlpParams, opt: AdamState, out: dict) -> None:
@@ -377,7 +353,7 @@ def save_bundle(
     """
     payload: dict = {
         "version": np.int64(CHECKPOINT_VERSION),
-        "optimizer": np.str_(bundle.optimizer),
+        "optimizer": np.str_(CHECKPOINT_OPTIMIZER),
     }
     _pack_net("policy", bundle.policy, bundle.policy_opt, payload)
     _pack_net("value", bundle.value, bundle.value_opt, payload)
@@ -401,11 +377,15 @@ def load_bundle(path: str | Path) -> tuple[PolicyBundle, dict[str, int]]:
                 f"checkpoint version {version} unsupported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
+        optimizer = str(data["optimizer"])
+        if optimizer != CHECKPOINT_OPTIMIZER:
+            raise ValueError(
+                f"checkpoint {path} was trained with optimizer {optimizer!r}; "
+                f"only {CHECKPOINT_OPTIMIZER!r} is supported"
+            )
         policy, policy_opt = _unpack_net("policy", data)
         value, value_opt = _unpack_net("value", data)
-        bundle = PolicyBundle(
-            policy=policy, value=value, optimizer=str(data["optimizer"])
-        )
+        bundle = PolicyBundle(policy=policy, value=value)
         bundle.policy_opt = policy_opt
         bundle.value_opt = value_opt
         meta = {

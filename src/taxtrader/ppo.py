@@ -62,7 +62,6 @@ class PpoConfig:
     target_kl: float = 0.015
     advantage_normalization: bool = True
     entropy_coef: float = 0.0
-    optimizer: str = "adam"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.clip_ratio < 1.0:
@@ -247,9 +246,7 @@ def _policy_update(
         if config.entropy_coef != 0.0:
             dlogits -= (config.entropy_coef / n) * entropy_grads
         grads, _ = nets.backward(bundle.policy, cache, dlogits, buffers)
-        nets.apply_update(
-            bundle.policy, grads, bundle.policy_opt, config.policy_lr, config.optimizer
-        )
+        nets.adam_step(bundle.policy, grads, bundle.policy_opt, config.policy_lr)
         iters_done += 1
     return first_loss, first_entropy, kl, iters_done
 
@@ -270,10 +267,16 @@ def _value_update(
         if i == 0:
             first_loss = loss
         grads, _ = nets.backward(bundle.value, cache, dv[:, None], buffers)
-        nets.apply_update(
-            bundle.value, grads, bundle.value_opt, config.value_lr, config.optimizer
-        )
+        nets.adam_step(bundle.value, grads, bundle.value_opt, config.value_lr)
     return first_loss
+
+
+def _require_finite(name: str, values) -> None:
+    """Stop the run on a non-finite ``name``, before its epoch is recorded."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(
+            f"non-finite {name}; the epoch's metrics and checkpoint are not written"
+        )
 
 
 def run_epoch(
@@ -285,7 +288,9 @@ def run_epoch(
     """Collect one buffer of experience and update both networks.
 
     Episodes are cut at the buffer boundary with a value bootstrap;
-    completed episodes report their normalized return.
+    completed episodes report their normalized return. A non-finite
+    value estimate, reward or first loss raises ``FloatingPointError``
+    naming it, so ``train`` writes no metrics row or checkpoint for it.
     """
     cfg_env = env.config
     buffer = TrajectoryBuffer(env.obs_dim, config.steps_per_epoch)
@@ -311,13 +316,18 @@ def run_epoch(
             scale = 1.0 / (cfg_env.lot_size * env.first_price)
     assert transition is not None
     last_value = 0.0 if transition.done else float(nets.forward(bundle.value, obs)[0])
+    _require_finite("value estimates", buffer.values)
+    _require_finite("bootstrap value estimate", last_value)
+    _require_finite("rewards", buffer.rewards)
     buffer.finalize(
         last_value, config.gamma, config.gae_lambda, config.advantage_normalization
     )
     # One set of batch-sized scratch arrays serves both update phases.
     buffers: dict = {}
     policy_loss, entropy, kl, _ = _policy_update(bundle, buffer, config, buffers)
+    _require_finite("policy loss", policy_loss)
     vloss = _value_update(bundle, buffer, config, buffers)
+    _require_finite("value loss", vloss)
     mean_return = float(np.mean(ep_returns)) if ep_returns else ep_return
     return {
         "mean_episode_return": mean_return,
@@ -372,9 +382,7 @@ def train(
                 f"environment provides {env.obs_dim}"
             )
     else:
-        bundle = nets.init_bundle(
-            np.random.default_rng([seed, 0]), env.obs_dim, optimizer=config.optimizer
-        )
+        bundle = nets.init_bundle(np.random.default_rng([seed, 0]), env.obs_dim)
 
     out_path = Path(out_dir) if out_dir is not None else None
     metrics_file = None

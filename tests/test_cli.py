@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -13,7 +14,10 @@ import pytest
 from taxtrader import cli, nets
 from taxtrader.cli import (
     BASELINES,
+    CONFIG_KEYS,
+    ConfigError,
     EpisodeStats,
+    RunConfig,
     baseline_actor,
     build_parser,
     bundle_actor,
@@ -25,6 +29,7 @@ from taxtrader.cli import (
 )
 from taxtrader.env import EnvConfig, TradingEnv
 from taxtrader.ledger import BasisState, TaxParams, step_ledger
+from taxtrader.ppo import PpoConfig
 from taxtrader.market_data import (
     EpisodeWindow,
     MarketDataError,
@@ -79,6 +84,63 @@ def constant_action_checkpoint(path, action, obs_dim=5):
     return path
 
 
+# Every config key: where it lands in the resolved config, a raw value as
+# a flag, variable or file would give it, and the value it must parse to.
+KEY_SURFACE = {
+    "data": ("data", "prices.csv", "prices.csv"),
+    "out": ("out", "runs/x", "runs/x"),
+    "seed": ("seed", "7", 7),
+    "n_episodes": ("n_episodes", "12", 12),
+    "greedy": ("greedy", "on", True),
+    "checkpoint": ("checkpoint", "a.npz", "a.npz"),
+    "baseline": ("baseline", "long", "long"),
+    "checkpoint_no_tax": ("checkpoint_no_tax", "n.npz", "n.npz"),
+    "checkpoint_with_tax": ("checkpoint_with_tax", "w.npz", "w.npz"),
+    "trade_log": ("trade_log", "trades.csv", "trades.csv"),
+    "tax": ("env.tax_enabled", "off", False),
+    "lot_size": ("env.lot_size", "10", 10.0),
+    "episode_length": ("env.episode_length", "20", 20),
+    "include_position": ("env.include_position", "false", False),
+    "rate_long": ("env.tax_params.rate_long", "0.1", 0.1),
+    "rate_short": ("env.tax_params.rate_short", "0.3", 0.3),
+    "long_term_threshold": ("env.tax_params.long_term_threshold", "100", 100.0),
+    "txn_cost_rate": ("env.tax_params.txn_cost_rate", "0.002", 0.002),
+    "txn_cost_mode": ("env.tax_params.txn_cost_mode", "pnl", "pnl"),
+    "short_cover_convention": (
+        "env.tax_params.short_cover_convention", "economic", "economic"
+    ),
+    "clip_ratio": ("ppo.clip_ratio", "0.3", 0.3),
+    "gae_lambda": ("ppo.gae_lambda", "0.9", 0.9),
+    "gamma": ("ppo.gamma", "0.95", 0.95),
+    "steps_per_epoch": ("ppo.steps_per_epoch", "64", 64),
+    "epochs": ("ppo.epochs", "3", 3),
+    "policy_lr": ("ppo.policy_lr", "0.002", 0.002),
+    "value_lr": ("ppo.value_lr", "0.001", 0.001),
+    "policy_update_iters": ("ppo.policy_update_iters", "7", 7),
+    "value_update_iters": ("ppo.value_update_iters", "6", 6),
+    "target_kl": ("ppo.target_kl", "0.05", 0.05),
+    "advantage_normalization": ("ppo.advantage_normalization", "no", False),
+    "entropy_coef": ("ppo.entropy_coef", "0.01", 0.01),
+}
+
+
+def resolved(cfg, path):
+    value = cfg
+    for name in path.split("."):
+        value = getattr(value, name)
+    return value
+
+
+def dataclass_default(path):
+    """The default of the field at ``path``, read off its own dataclass."""
+    *parents, name = path.split(".")
+    owner = {
+        (): RunConfig, ("env",): EnvConfig, ("env", "tax_params"): TaxParams,
+        ("ppo",): PpoConfig,
+    }[tuple(parents)]
+    return next(f.default for f in fields(owner) if f.name == name)
+
+
 class TestConfigResolution:
     def parse(self, argv):
         return build_parser().parse_args(argv)
@@ -86,12 +148,12 @@ class TestConfigResolution:
     def test_defaults(self):
         cfg = resolve_config(self.parse(["train"]))
         assert cfg.seed == 0
-        assert cfg.tax is True
-        assert cfg.clip_ratio == 0.2
-        assert cfg.gae_lambda == 0.97
-        assert cfg.steps_per_epoch == 5000
-        assert cfg.policy_lr == 0.001
-        assert cfg.value_lr == 0.0003
+        assert cfg.env.tax_enabled is True
+        assert cfg.ppo.clip_ratio == 0.2
+        assert cfg.ppo.gae_lambda == 0.97
+        assert cfg.ppo.steps_per_epoch == 5000
+        assert cfg.ppo.policy_lr == 0.001
+        assert cfg.ppo.value_lr == 0.0003
 
     def test_file_then_env_then_flag_precedence(self, tmp_path, monkeypatch):
         config = tmp_path / "run.cfg"
@@ -102,11 +164,12 @@ class TestConfigResolution:
         assert resolve_config(self.parse(args)).seed == 2
         assert resolve_config(self.parse(args + ["--seed", "3"])).seed == 3
         # untouched keys fall through from the file
-        assert resolve_config(self.parse(args)).epochs == 7
+        assert resolve_config(self.parse(args)).ppo.epochs == 7
 
     def test_tax_flag_on_off(self):
-        assert resolve_config(self.parse(["train", "--tax", "off"])).tax is False
-        assert resolve_config(self.parse(["train", "--tax", "on"])).tax is True
+        for raw, expected in (("off", False), ("on", True)):
+            cfg = resolve_config(self.parse(["train", "--tax", raw]))
+            assert cfg.env.tax_enabled is expected
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -117,6 +180,63 @@ class TestConfigResolution:
     def test_bad_boolean_rejected(self):
         with pytest.raises(Exception, match="boolean"):
             resolve_config(self.parse(["train", "--tax", "maybe"]))
+
+    def test_key_surface(self):
+        flags = set(vars(self.parse(["train"]))) - {"command", "config"}
+        assert len(KEY_SURFACE) == 32
+        assert flags == set(KEY_SURFACE)
+        assert set(CONFIG_KEYS) == set(KEY_SURFACE)
+
+    def test_every_default_is_its_dataclass_default(self):
+        cfg = resolve_config(self.parse(["train"]))
+        assert cfg == RunConfig()
+        for key, (path, _, _) in KEY_SURFACE.items():
+            assert resolved(cfg, path) == dataclass_default(path), key
+
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    @pytest.mark.parametrize("key", sorted(KEY_SURFACE))
+    def test_key_lands_in_its_field(self, tmp_path, monkeypatch, key, source):
+        path, raw, expected = KEY_SURFACE[key]
+        args = ["train"]
+        if source == "flag":
+            args += ["--" + key.replace("_", "-"), raw]
+        elif source == "env":
+            monkeypatch.setenv("TAXTRADER_" + key.upper(), raw)
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {raw}\n")
+            args += ["--config", str(config)]
+        value = resolved(resolve_config(self.parse(args)), path)
+        assert value == expected and type(value) is type(expected)
+
+    def test_removed_optimizer_key_rejected(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("optimizer = sgd\n")
+        with pytest.raises(ConfigError, match="unknown config key 'optimizer'"):
+            resolve_config(self.parse(["train", "--config", str(config)]))
+
+    def test_values_are_validated_once_every_source_is_applied(
+        self, tmp_path, monkeypatch
+    ):
+        # rate_long = 0.3 alone breaks rate_long <= rate_short; with the
+        # variable's rate_short = 0.4 the resolved pair is valid.
+        config = tmp_path / "run.cfg"
+        config.write_text("rate_long = 0.3\n")
+        monkeypatch.setenv("TAXTRADER_RATE_SHORT", "0.4")
+        cfg = resolve_config(self.parse(["train", "--config", str(config)]))
+        assert (cfg.env.tax_params.rate_long, cfg.env.tax_params.rate_short) == (
+            0.3, 0.4
+        )
+
+    def test_tax_params_validation_error_exits_1(self, tmp_path, capsys):
+        rc = main(
+            ["ledger-report", "--trade-log", str(worked_example_log(tmp_path)),
+             "--rate-long", "0.3", "--rate-short", "0.2"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "rate_long <= rate_short" in err
+        assert "long=0.3, short=0.2" in err
 
 
 class TestTrainCommand:
@@ -267,6 +387,21 @@ class TestCrossEvalCommand:
         assert aware < 0.0 and naive == 0.0
         assert float(values["absolute_gap"]) == aware - naive
         assert float(values["relative_loss"]) == 1.0
+
+    def test_checkpoint_feature_mismatch_names_the_checkpoint(
+        self, drift_csv, tmp_path, capsys
+    ):
+        # A checkpoint trained with include_position off has four inputs.
+        five = constant_action_checkpoint(tmp_path / "p5.npz", action=2)
+        four = constant_action_checkpoint(tmp_path / "p4.npz", action=2, obs_dim=4)
+        rc = main(
+            ["cross-eval"] + smoke_flags(drift_csv, tmp_path / "cross")
+            + ["--checkpoint-no-tax", str(five), "--checkpoint-with-tax", str(four)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(four) in err
+        assert "expects 4 features, environment provides 5" in err
 
     def test_window_columns_present(self, drift_csv, tmp_path):
         ckpt = constant_action_checkpoint(tmp_path / "l.npz", action=2)
@@ -549,16 +684,49 @@ class TestLedgerReportCommand:
             read_trade_log(path)
 
 
-def test_module_entry_point(tmp_path):
-    missing = tmp_path / "absent.csv"
-    # The child imports the same package as this process, installed or not.
+def run_child(argv):
+    """Run ``argv`` in a python child that imports this process's package."""
     package_root = str(Path(nets.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "taxtrader", "train", "--data", str(missing)],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(tmp_path):
+    missing = tmp_path / "absent.csv"
+    proc = run_child(["-m", "taxtrader", "train", "--data", str(missing)])
     assert proc.returncode == 1
     assert str(missing) in proc.stderr
+
+
+def test_protocol_script_smoke(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_paper_protocol.py"
+    proc = run_child(
+        [str(script), "--epochs", "1", "--steps-per-epoch", "64",
+         "--episode-length", "20", "--seeds", "0", "--out", str(tmp_path)]
+    )
+    assert proc.returncode == 0, proc.stderr
+    with (tmp_path / "seed0_episodes.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == [
+        "episode", "window_start", "return_no_tax_env", "return_tax_aware",
+        "return_tax_naive",
+    ]
+    assert [int(r["episode"]) for r in rows] == list(range(100))
+    header, row, total = proc.stdout.splitlines()
+    assert header.split() == [
+        "seed", "no-tax", "env", "tax-aware", "tax-naive", "abs", "gap", "rel", "loss"
+    ]
+    seed, free, aware, naive, gap, rel = row.split()
+    assert seed == "0"
+    means = [float(r) for r in (free, aware, naive)]
+    for column, mean in zip(("return_no_tax_env", "return_tax_aware",
+                             "return_tax_naive"), means):
+        csv_mean = float(np.mean([float(r[column]) for r in rows]))
+        assert abs(csv_mean - mean) <= 5e-5
+    assert float(gap) == pytest.approx(means[1] - means[2], abs=2e-4)
+    assert total.startswith("total ")

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from taxtrader.env import Action, EnvConfig, TradingEnv, episode_return
+from taxtrader.cli import baseline_actor, run_episodes
+from taxtrader.env import Action, EnvConfig, TradingEnv
 from taxtrader.ledger import (
     BasisState,
     TaxCashflow,
@@ -152,19 +153,22 @@ class TestStep:
 
 
 class TestEpisodeReturn:
+    """Episode returns as ``cli.run_episodes`` reports them: summed rewards
+    over the initial lot notional, played by the always-long baseline."""
+
+    def long_return(self, env, window):
+        (stats,) = run_episodes(env, baseline_actor("long"), [window], 0)
+        return stats.episode_return
+
     def test_all_zero_rewards(self):
         env = make_env([100.0, 100.0, 100.0], tax=False, cost=0.0)
-        env.reset(EpisodeWindow(0, 2))
-        transitions = [env.step(Action.FLAT), env.step(Action.FLAT)]
-        assert episode_return(transitions, LOT, 100.0) == 0.0
+        assert self.long_return(env, EpisodeWindow(0, 2)) == 0.0
 
     def test_single_step_normalization(self):
-        env = make_env([100.0, 101.0], tax=False, cost=0.0)
-        env.reset(EpisodeWindow(0, 1))
-        env.state = BasisState(position=100.0, avg_basis=100.0, avg_holding=1.0)
-        tr = env.step(Action.LONG)
-        assert tr.reward == pytest.approx(100.0)
-        assert episode_return([tr], LOT, 100.0) == pytest.approx(0.01)
+        # The lot is bought at the first step's close (101), so only the
+        # second step earns: one lot times the 1.0 move, over 100 x 100.
+        env = make_env([100.0, 101.0, 102.0], tax=False, cost=0.0)
+        assert self.long_return(env, EpisodeWindow(0, 2)) == pytest.approx(0.01)
 
     def test_constant_drift_closed_form(self):
         # +$1/day for 1260 steps from 100, always long, no frictions.
@@ -173,21 +177,15 @@ class TestEpisodeReturn:
         n = 1261
         closes = [100.0 + t for t in range(n)]
         env = make_env(closes, tax=False, cost=0.0, length=1260)
-        env.reset(EpisodeWindow(0, 1260))
-        transitions = []
-        done = False
-        while not done:
-            tr = env.step(Action.LONG)
-            transitions.append(tr)
-            done = tr.done
         expected = (1260 - 1) / 100.0
-        assert episode_return(transitions, LOT, 100.0) == pytest.approx(
+        assert self.long_return(env, EpisodeWindow(0, 1260)) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_empty_episode_rejected(self):
+        # Every episode has a step: its window refuses a length of zero.
         with pytest.raises(ValueError):
-            episode_return([], LOT, 100.0)
+            EpisodeWindow(0, 0)
 
 
 class TestInvariants:
@@ -287,24 +285,17 @@ def reference_episode(env, window, actions):
     series, cfg = env.series, env.config
     mean_volume = float(series.volumes.mean())
     first = float(series.closes[window.start_index])
-    price_scale = cfg.price_scale if cfg.price_scale is not None else first
     state = BasisState.flat(first)
 
     def observation(t):
         idx = window.start_index + t
-        volume_scale = (
-            cfg.volume_scale if cfg.volume_scale is not None else mean_volume
-        )
-        position_scale = (
-            cfg.position_scale if cfg.position_scale is not None else cfg.lot_size
-        )
         obs = np.empty(5 if cfg.include_position else 4)
-        obs[0] = series.closes[idx] / price_scale
-        obs[1] = series.volumes[idx] / volume_scale
-        obs[2] = state.avg_basis / price_scale
-        obs[3] = state.avg_holding / cfg.holding_scale
+        obs[0] = series.closes[idx] / first
+        obs[1] = series.volumes[idx] / mean_volume
+        obs[2] = state.avg_basis / first
+        obs[3] = state.avg_holding / 252.0
         if cfg.include_position:
-            obs[4] = state.position / position_scale
+            obs[4] = state.position / cfg.lot_size
         return obs
 
     out = [(observation(0), None, None, False)]

@@ -354,10 +354,6 @@ class TestTaxParams:
         with pytest.raises(ValueError):
             TaxParams(txn_cost_mode="flat-fee")
 
-    def test_loss_offset_cap_is_a_stub(self):
-        with pytest.raises(NotImplementedError):
-            TaxParams(annual_loss_offset_cap=3000.0)
-
 
 class TestStepLedger:
     def test_deterministic(self):
@@ -477,7 +473,7 @@ def reference_step_ledger(prev, next_price, next_position, params):
         cost = params.txn_cost_rate * abs(next_price - prev.avg_basis) * quantity
     cashflow = TaxCashflow(gain_tax=gain_tax, loss_rebate=loss_rebate, txn_cost=cost)
     basis = update_basis(prev, next_price, next_position)
-    holding = update_holding(prev, basis, next_price, next_position, params.dt)
+    holding = update_holding(prev, basis, next_price, next_position, 1.0)
     state = BasisState(
         position=float(next_position), avg_basis=basis, avg_holding=holding
     )

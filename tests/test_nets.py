@@ -1,4 +1,4 @@
-"""MLP forward/backward, categorical head, optimizers, checkpoints."""
+"""MLP forward/backward, categorical head, Adam, checkpoints."""
 
 import math
 from pathlib import Path
@@ -24,7 +24,6 @@ from taxtrader.nets import (
     sample_action,
     sample_actions,
     save_bundle,
-    sgd_step,
     softmax,
 )
 
@@ -269,13 +268,6 @@ class TestAdam:
         assert params.weights[0][0, 0] == pytest.approx(0.8067820404774624, rel=1e-12)
         assert params.biases[0][0] == pytest.approx(-1.873366297370903, rel=1e-12)
 
-    def test_sgd_step(self):
-        params = self.make_params()
-        grads = MlpParams(weights=[np.array([[2.0]])], biases=[np.array([4.0])])
-        sgd_step(params, grads, lr=0.25)
-        assert params.weights[0][0, 0] == 0.5
-        assert params.biases[0][0] == -3.0
-
 
 class TestBundleCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -291,7 +283,8 @@ class TestBundleCheckpoint:
         save_bundle(path, bundle, meta={"epoch": 3, "seed": 9})
         loaded, meta = load_bundle(path)
         assert meta == {"epoch": 3, "seed": 9}
-        assert loaded.optimizer == "adam"
+        with np.load(path) as data:
+            assert str(data["optimizer"]) == "adam"
         for a, b in zip(bundle.policy.arrays(), loaded.policy.arrays()):
             assert np.array_equal(a, b)
         for a, b in zip(bundle.value.arrays(), loaded.value.arrays()):
@@ -321,6 +314,19 @@ class TestBundleCheckpoint:
         np.savez(path, **data)
         with pytest.raises(ValueError, match="version"):
             load_bundle(path)
+
+    def test_non_adam_checkpoint_refused(self, tmp_path):
+        # Training only steps with Adam, so a checkpoint written by another
+        # optimizer must not silently resume under it.
+        bundle = init_bundle(np.random.default_rng(0), obs_dim=5)
+        path = tmp_path / "ckpt.npz"
+        save_bundle(path, bundle)
+        data = dict(np.load(path))
+        data["optimizer"] = np.str_("sgd")
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="'sgd'") as err:
+            load_bundle(path)
+        assert str(path) in str(err.value)
 
     def test_shape_chain_validated(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taxtrader import nets
+from taxtrader import nets, ppo
 from taxtrader.env import EnvConfig, TradingEnv
 from taxtrader.ledger import TaxParams
 from taxtrader.market_data import synthetic_gbm
@@ -365,6 +365,33 @@ class TestTrain:
             "checkpoint.npz", "metrics.csv"
         ]
 
+    def test_non_finite_value_estimates_stop_the_run_unrecorded(self, tmp_path):
+        # A value net with a NaN bias: the run must stop with a named error
+        # and write neither a metrics row nor a checkpoint for the epoch.
+        ppo_config, env_config, series = smoke_setup(steps_per_epoch=200, epochs=2)
+        first = PpoConfig(**{**ppo_config.__dict__, "epochs": 1})
+        train(first, env_config, series, seed=7, out_dir=tmp_path)
+        checkpoint = tmp_path / "checkpoint.npz"
+        bundle, meta = nets.load_bundle(checkpoint)
+        bundle.value.biases[-1][0] = np.nan
+        nets.save_bundle(checkpoint, bundle, meta)
+        saved = checkpoint.read_bytes()
+        with pytest.raises(FloatingPointError, match="non-finite value estimates"):
+            train(ppo_config, env_config, series, seed=7, out_dir=tmp_path,
+                  resume_from=checkpoint)
+        with (tmp_path / "metrics.csv").open(newline="") as fh:
+            assert [int(row["epoch"]) for row in csv.DictReader(fh)] == [0]
+        assert checkpoint.read_bytes() == saved
+
+    @pytest.mark.parametrize("loss", ["clipped_policy_loss", "value_loss"])
+    def test_non_finite_loss_is_named(self, monkeypatch, loss):
+        ppo_config, env_config, series = smoke_setup(epochs=1)
+        real = getattr(ppo, loss)
+        monkeypatch.setattr(ppo, loss, lambda *a: (math.nan, real(*a)[1]))
+        name = "policy loss" if loss == "clipped_policy_loss" else "value loss"
+        with pytest.raises(FloatingPointError, match=f"non-finite {name}"):
+            train(ppo_config, env_config, series, seed=8)
+
 
 def filled_buffer(n, obs_dim=5, seed=40):
     rng = np.random.default_rng(seed)
@@ -404,8 +431,7 @@ def oracle_policy_update(bundle, buffer, config):
         if config.entropy_coef != 0.0:
             dlogits -= (config.entropy_coef / n) * entropy_grads
         grads, _ = nets.backward(bundle.policy, cache, dlogits)
-        nets.apply_update(bundle.policy, grads, bundle.policy_opt,
-                          config.policy_lr, config.optimizer)
+        nets.adam_step(bundle.policy, grads, bundle.policy_opt, config.policy_lr)
         iters_done += 1
     return first_loss, first_entropy, kl, iters_done
 
