@@ -153,15 +153,19 @@ def backward(
     cache: list[np.ndarray],
     out_grad: np.ndarray,
     buffers: dict | None = None,
-) -> tuple[MlpParams, np.ndarray]:
+) -> tuple[MlpParams, None]:
     """Exact gradients of ``sum(outputs * out_grad)`` for every parameter.
 
-    Returns the parameter gradients (same container shape) and the
-    gradient with respect to the input batch. Intermediate gradients and
-    the parameter gradients are written into ``buffers`` as in
-    ``forward_cached`` (the keys do not collide, so one dict serves
-    both), and the next call with the same ``buffers`` overwrites the
-    returned parameter gradients. The input gradient is a fresh array.
+    Returns the parameter gradients (same container shape) and ``None``
+    where the gradient with respect to the input batch used to be: no
+    caller needs it, and skipping it saves one batch-sized product.
+
+    ``backward`` consumes ``cache[1:-1]``: each hidden activation ``h`` is
+    overwritten with ``g * (1 - h**2)`` once the layer above no longer
+    needs it, so the cache cannot be used again. The parameter gradients
+    and one gradient array per hidden width are written into ``buffers``
+    as in ``forward_cached`` (the keys do not collide, so one dict serves
+    both), and the next call with the same ``buffers`` overwrites them.
     """
     if buffers is None:
         buffers = {}
@@ -180,18 +184,16 @@ def backward(
             gz = g
         else:
             # Hidden outputs are post-tanh; fold the activation derivative
-            # g * (1 - h**2) in, one ufunc at a time in that order.
-            gz = np.square(cache[i + 1], out=_buffer(buffers, ("dz", i), g.shape))
+            # g * (1 - h**2) into h itself, one ufunc at a time in that order.
+            gz = np.square(cache[i + 1], out=cache[i + 1])
             np.subtract(1.0, gz, out=gz)
             np.multiply(g, gz, out=gz)
         w_grads[i] = np.matmul(cache[i].T, gz, out=_buffer(buffers, ("dw", i), w.shape))
         b_grads[i] = np.sum(gz, axis=0, out=_buffer(buffers, ("db", i), w.shape[1:]))
         if i > 0:
-            dh = _buffer(buffers, ("dh", i), (gz.shape[0], w.shape[0]))
+            dh = _buffer(buffers, ("dh", w.shape[0]), (gz.shape[0], w.shape[0]))
             g = np.matmul(gz, w.T, out=dh)
-        else:
-            g = gz @ w.T  # the input gradient, returned in a fresh array
-    return MlpParams(w_grads, b_grads), g
+    return MlpParams(w_grads, b_grads), None
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import os
+import threading
 import time
+from collections.abc import Generator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -206,14 +208,16 @@ def _entropy_terms(
     return entropies, grads
 
 
-def _policy_update(
+def _policy_steps(
     bundle: PolicyBundle,
     buffer: TrajectoryBuffer,
     config: PpoConfig,
     buffers: dict,
-) -> tuple[float, float, float, int]:
-    """Full-batch clipped-gradient steps with KL early stopping.
+) -> Generator[None, None, tuple[float, float, float, int]]:
+    """The policy update as an iteration that yields after every Adam step.
 
+    Full-batch clipped-gradient steps with KL early stopping. The
+    iteration returns (first loss, first entropy, last KL, steps taken).
     ``buffers`` holds the batch-sized scratch arrays of ``nets`` across
     iterations, so only the first iteration allocates them.
     """
@@ -248,16 +252,20 @@ def _policy_update(
         grads, _ = nets.backward(bundle.policy, cache, dlogits, buffers)
         nets.adam_step(bundle.policy, grads, bundle.policy_opt, config.policy_lr)
         iters_done += 1
+        yield
     return first_loss, first_entropy, kl, iters_done
 
 
-def _value_update(
+def _value_steps(
     bundle: PolicyBundle,
     buffer: TrajectoryBuffer,
     config: PpoConfig,
     buffers: dict,
-) -> float:
-    """Full-batch squared-error steps; ``buffers`` as in ``_policy_update``."""
+) -> Generator[None, None, float]:
+    """Full-batch squared-error steps, yielding after each; returns the first loss.
+
+    ``buffers`` as in ``_policy_steps``.
+    """
     obs = buffer.observations
     returns = buffer.returns
     first_loss = 0.0
@@ -268,7 +276,166 @@ def _value_update(
             first_loss = loss
         grads, _ = nets.backward(bundle.value, cache, dv[:, None], buffers)
         nets.adam_step(bundle.value, grads, bundle.value_opt, config.value_lr)
+        yield
     return first_loss
+
+
+def _step(steps: Generator) -> tuple[bool, object]:
+    """Advance ``steps`` once: ``(False, None)``, or ``(True, result)`` at its end."""
+    try:
+        next(steps)
+    except StopIteration as stop:
+        return True, stop.value
+    return False, None
+
+
+def _run_steps(steps: Generator):
+    """Run ``steps`` to its end and return its result."""
+    done, result = _step(steps)
+    while not done:
+        done, result = _step(steps)
+    return result
+
+
+def _policy_update(
+    bundle: PolicyBundle,
+    buffer: TrajectoryBuffer,
+    config: PpoConfig,
+    buffers: dict,
+) -> tuple[float, float, float, int]:
+    """``_policy_steps`` run to its end."""
+    return _run_steps(_policy_steps(bundle, buffer, config, buffers))
+
+
+def _value_update(
+    bundle: PolicyBundle,
+    buffer: TrajectoryBuffer,
+    config: PpoConfig,
+    buffers: dict,
+) -> float:
+    """``_value_steps`` run to its end."""
+    return _run_steps(_value_steps(bundle, buffer, config, buffers))
+
+
+# The variables OpenBLAS reads its thread count from, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _overlap_updates() -> bool:
+    """Whether to run the value update on a second core beside the policy update.
+
+    Only when BLAS runs one thread, which the first of ``_BLAS_THREAD_VARS``
+    set to a positive count says, and this process may use two cores or
+    more. Under multi-threaded BLAS two callers share BLAS's cores, and
+    full-scale epochs on two cores ran about 20% slower overlapped.
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1 and _usable_cores() >= 2
+    return False
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Stepper:
+    """Steps one iteration on request, on a worker thread or in place.
+
+    ``start`` begins a step; ``finish`` waits for it and returns what
+    ``_step`` returned, or raises what the step raised. ``close`` waits
+    for a step still in flight, then stops the worker and joins it.
+    """
+
+    def __init__(self, steps: Generator, threaded: bool):
+        self._steps: Generator | None = steps
+        self._outcome: tuple = (None, None)
+        self._pending = False
+        self._thread: threading.Thread | None = None
+        if threaded:
+            self._go = threading.Semaphore(0)
+            self._done = threading.Semaphore(0)
+            self._thread = threading.Thread(
+                target=self._serve, name="value-update", daemon=True
+            )
+            self._thread.start()
+
+    def _take_step(self) -> None:
+        try:
+            self._outcome = (_step(self._steps), None)
+        except BaseException as exc:  # re-raised by finish() in the caller's thread
+            self._outcome = (None, exc)
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._steps is None:
+                return
+            self._take_step()
+            self._done.release()
+
+    def start(self) -> None:
+        self._pending = True
+        if self._thread is None:
+            self._take_step()
+        else:
+            self._go.release()
+
+    def _wait(self) -> None:
+        if self._pending and self._thread is not None:
+            self._done.acquire()
+        self._pending = False
+
+    def finish(self) -> tuple[bool, object]:
+        self._wait()
+        outcome, exc = self._outcome
+        if exc is not None:
+            raise exc
+        return outcome
+
+    def close(self) -> None:
+        self._wait()
+        self._steps = None
+        if self._thread is not None:
+            self._go.release()
+            self._thread.join()
+
+
+def _update(
+    bundle: PolicyBundle, buffer: TrajectoryBuffer, config: PpoConfig
+) -> tuple[tuple[float, float, float, int], float]:
+    """Both update phases in lockstep, one policy and one value step at a time.
+
+    Each phase reads the finished buffer and writes only its own net, its
+    own Adam state and its own scratch dict, so the results equal running
+    one phase after the other. Where ``_overlap_updates`` allows, each
+    value step runs on a worker thread while the policy step runs here;
+    numpy releases the interpreter lock inside the batch-sized products
+    and ufuncs that are most of a step. The loop joins after every step,
+    and if either side raises it first waits for the other side's step,
+    so no thread touches ``bundle`` once this returns or raises.
+    """
+    policy = _policy_steps(bundle, buffer, config, {})
+    value = _Stepper(_value_steps(bundle, buffer, config, {}), _overlap_updates())
+    policy_done = value_done = False
+    policy_result = value_result = None
+    try:
+        while not (policy_done and value_done):
+            if not value_done:
+                value.start()
+            if not policy_done:
+                policy_done, policy_result = _step(policy)
+            if not value_done:
+                value_done, value_result = value.finish()
+    finally:
+        value.close()
+    return policy_result, value_result
 
 
 def _require_finite(name: str, values) -> None:
@@ -288,9 +455,12 @@ def run_epoch(
     """Collect one buffer of experience and update both networks.
 
     Episodes are cut at the buffer boundary with a value bootstrap;
-    completed episodes report their normalized return. A non-finite
-    value estimate, reward or first loss raises ``FloatingPointError``
-    naming it, so ``train`` writes no metrics row or checkpoint for it.
+    completed episodes report their normalized return. The two updates
+    run in lockstep, the value steps on a second core where
+    ``_overlap_updates`` allows; either way the results are those of
+    running one update after the other. A non-finite value estimate,
+    reward or first loss raises ``FloatingPointError`` naming it, so
+    ``train`` writes no metrics row or checkpoint for it.
     """
     cfg_env = env.config
     buffer = TrajectoryBuffer(env.obs_dim, config.steps_per_epoch)
@@ -322,11 +492,8 @@ def run_epoch(
     buffer.finalize(
         last_value, config.gamma, config.gae_lambda, config.advantage_normalization
     )
-    # One set of batch-sized scratch arrays serves both update phases.
-    buffers: dict = {}
-    policy_loss, entropy, kl, _ = _policy_update(bundle, buffer, config, buffers)
+    (policy_loss, entropy, kl, _), vloss = _update(bundle, buffer, config)
     _require_finite("policy loss", policy_loss)
-    vloss = _value_update(bundle, buffer, config, buffers)
     _require_finite("value loss", vloss)
     mean_return = float(np.mean(ep_returns)) if ep_returns else ep_return
     return {

@@ -116,19 +116,17 @@ class TestBackward:
         rng = np.random.default_rng(3)
         params = small_net(rng)
         _, cache = forward_cached(params, rng.normal(size=(5, 4)))
-        grads, input_grad = backward(params, cache, np.zeros((5, 3)))
+        grads, _ = backward(params, cache, np.zeros((5, 3)))
         for g in grads.arrays():
             assert np.all(g == 0.0)
-        assert np.all(input_grad == 0.0)
 
     def test_scalar_linear_net_gradient_is_input(self):
         params = MlpParams(weights=[np.array([[2.0]])], biases=[np.array([0.5])])
         x = np.array([[3.0]])
         _, cache = forward_cached(params, x)
-        grads, input_grad = backward(params, cache, np.array([[1.0]]))
+        grads, _ = backward(params, cache, np.array([[1.0]]))
         assert grads.weights[0][0, 0] == 3.0
         assert grads.biases[0][0] == 1.0
-        assert input_grad[0, 0] == 2.0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -145,24 +143,6 @@ class TestBackward:
                     / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
                 )
                 assert worst < 1e-4
-
-    def test_input_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(21)
-        params = small_net(rng)
-        x = rng.normal(size=4)
-        out_grad = rng.normal(size=(1, 3))
-        _, cache = forward_cached(params, x)
-        _, input_grad = backward(params, cache, out_grad)
-        h = 1e-6
-        for i in range(4):
-            bumped_up, bumped_down = x.copy(), x.copy()
-            bumped_up[i] += h
-            bumped_down[i] -= h
-            fd = (
-                np.sum(forward(params, bumped_up) * out_grad[0])
-                - np.sum(forward(params, bumped_down) * out_grad[0])
-            ) / (2 * h)
-            assert rel_err(input_grad[0, i], fd) < 1e-4
 
 
 class TestCategoricalHead:
@@ -434,22 +414,47 @@ class TestBufferedPassesBitIdentical:
             xs = x[:n]
             out_grad = rng.normal(size=(n, 3))
             _, cache = forward_cached(params, xs, buffers)
-            grads, input_grad = backward(params, cache, out_grad, buffers)
+            grads, _ = backward(params, cache, out_grad, buffers)
             _, oracle_cache = oracle_forward_cached(params, xs)
-            expected_grads, expected_input = oracle_backward(
-                params, oracle_cache, out_grad
-            )
+            expected_grads, _ = oracle_backward(params, oracle_cache, out_grad)
             assert_all_equal(grads.weights + grads.biases, expected_grads)
-            assert np.array_equal(input_grad, expected_input)
-            results.append((grads, input_grad, expected_input))
-        (g1, in1, exp1), (_, in2, _), (g3, _, _) = results
+            results.append(grads)
+        g1, _, g3 = results
         # Parameter gradients keep their shape at any batch size; every
         # batch-sized buffer was reallocated for the 9-row batch.
         assert all(a is b for a, b in zip(g3.arrays(), g1.arrays()))
         assert not any(a.shape[0] == 40 for a in buffers.values())
-        # The input gradient is the caller's to keep.
-        assert in2 is not in1
-        assert np.array_equal(in1, exp1)
+
+    @pytest.mark.parametrize("hidden", [(16, 16), (8, 7)])
+    def test_backward_consumes_hidden_activations(self, hidden):
+        rng = np.random.default_rng(36)
+        params = small_net(rng, 5, hidden, 3)
+        x = rng.normal(size=(30, 5))
+        out_grad = rng.normal(size=(30, 3))
+        buffers = {}
+        out, cache = forward_cached(params, x, buffers)
+        _, oracle_cache = oracle_forward_cached(params, x)
+        grads, input_grad = backward(params, cache, out_grad, buffers)
+        expected_grads, _ = oracle_backward(params, oracle_cache, out_grad)
+        assert_all_equal(grads.weights + grads.biases, expected_grads)
+        assert input_grad is None
+        # The input and the output are left alone; each hidden activation h
+        # now holds g * (1 - h**2), the oracle's gradient at that layer.
+        assert cache[0] is x and cache[-1] is out
+        assert np.array_equal(out, oracle_cache[-1])
+        g = out_grad
+        for i in reversed(range(1, len(hidden) + 1)):
+            g = g @ params.weights[i].T
+            g = g * (1.0 - oracle_cache[i] ** 2)
+            assert not np.array_equal(cache[i], oracle_cache[i])
+            assert np.array_equal(cache[i], g)
+        # One gradient buffer per hidden width took the place of the
+        # per-layer ones.
+        batch_arrays = [k for k, a in buffers.items() if a.shape[0] == 30]
+        assert sorted(batch_arrays) == sorted(
+            [("act", i) for i in range(len(hidden) + 1)]
+            + [("dh", width) for width in set(hidden)]
+        )
 
     def test_single_observation_forward_matches_oracle(self):
         first, _, rng = self.nets_pair()

@@ -1,7 +1,11 @@
 """GAE, clipped surrogate, update mechanics, and trainer determinism."""
 
+import copy
 import csv
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -237,6 +241,22 @@ def smoke_setup(steps_per_epoch=90, epochs=2, episode_length=30, tax=False):
     return ppo_config, env_config, series
 
 
+def force_update_path(monkeypatch, overlapped):
+    """Make ``run_epoch`` overlap its updates, or run them in the calling thread."""
+    for var in ppo._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if overlapped:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert ppo._overlap_updates() is overlapped
+
+
+@pytest.fixture(params=[False, True], ids=["serial", "overlapped"])
+def update_path(request, monkeypatch):
+    force_update_path(monkeypatch, request.param)
+    return request.param
+
+
 class TestRunEpoch:
     def test_fixed_seed_identical_metrics(self):
         ppo_config, env_config, series = smoke_setup()
@@ -248,35 +268,42 @@ class TestRunEpoch:
             results.append(metrics)
         assert results[0] == results[1]
 
-    def test_policy_update_does_not_touch_value_net(self):
+    def test_policy_update_does_not_touch_value_net(self, monkeypatch):
         ppo_config, env_config, series = smoke_setup()
         config = PpoConfig(
             steps_per_epoch=90, epochs=1, policy_update_iters=5, value_update_iters=0
         )
-        env = TradingEnv(env_config, series)
-        bundle = nets.init_bundle(np.random.default_rng([8, 0]), env.obs_dim)
-        value_before = [a.copy() for a in bundle.value.arrays()]
-        policy_before = [a.copy() for a in bundle.policy.arrays()]
-        run_epoch(env, bundle, config, np.random.default_rng([8, 1]))
-        assert all(
-            np.array_equal(a, b) for a, b in zip(value_before, bundle.value.arrays())
-        )
-        assert not all(
-            np.array_equal(a, b) for a, b in zip(policy_before, bundle.policy.arrays())
-        )
+        for overlapped in (False, True):
+            force_update_path(monkeypatch, overlapped)
+            env = TradingEnv(env_config, series)
+            bundle = nets.init_bundle(np.random.default_rng([8, 0]), env.obs_dim)
+            value_before = [a.copy() for a in bundle.value.arrays()]
+            policy_before = [a.copy() for a in bundle.policy.arrays()]
+            run_epoch(env, bundle, config, np.random.default_rng([8, 1]))
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip(value_before, bundle.value.arrays())
+            )
+            assert not all(
+                np.array_equal(a, b)
+                for a, b in zip(policy_before, bundle.policy.arrays())
+            )
 
-    def test_value_update_does_not_touch_policy_net(self):
+    def test_value_update_does_not_touch_policy_net(self, monkeypatch):
         ppo_config, env_config, series = smoke_setup()
         config = PpoConfig(
             steps_per_epoch=90, epochs=1, policy_update_iters=0, value_update_iters=5
         )
-        env = TradingEnv(env_config, series)
-        bundle = nets.init_bundle(np.random.default_rng([8, 0]), env.obs_dim)
-        policy_before = [a.copy() for a in bundle.policy.arrays()]
-        run_epoch(env, bundle, config, np.random.default_rng([8, 1]))
-        assert all(
-            np.array_equal(a, b) for a, b in zip(policy_before, bundle.policy.arrays())
-        )
+        for overlapped in (False, True):
+            force_update_path(monkeypatch, overlapped)
+            env = TradingEnv(env_config, series)
+            bundle = nets.init_bundle(np.random.default_rng([8, 0]), env.obs_dim)
+            policy_before = [a.copy() for a in bundle.policy.arrays()]
+            run_epoch(env, bundle, config, np.random.default_rng([8, 1]))
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip(policy_before, bundle.policy.arrays())
+            )
 
     def test_kl_stop_happens_before_the_step(self):
         # An impossible KL target stops the loop at iteration zero, so
@@ -389,8 +416,10 @@ class TestTrain:
         real = getattr(ppo, loss)
         monkeypatch.setattr(ppo, loss, lambda *a: (math.nan, real(*a)[1]))
         name = "policy loss" if loss == "clipped_policy_loss" else "value loss"
-        with pytest.raises(FloatingPointError, match=f"non-finite {name}"):
-            train(ppo_config, env_config, series, seed=8)
+        for overlapped in (False, True):
+            force_update_path(monkeypatch, overlapped)
+            with pytest.raises(FloatingPointError, match=f"non-finite {name}"):
+                train(ppo_config, env_config, series, seed=8)
 
 
 def filled_buffer(n, obs_dim=5, seed=40):
@@ -470,9 +499,200 @@ class TestUpdateBuffers:
         # With fresh buffers an iteration allocates hidden-sized arrays,
         # which shows that the measurement sees numpy's allocations.
         assert peak_growth(_policy_update, {}) > 2 * batch_hidden_bytes
-        # The value phase reuses the policy phase's buffers, as in run_epoch.
-        # Peak growth below one such array: none was ever allocated.
-        buffers = {}
-        _policy_update(bundle, buffer, config, buffers)
-        for update in (_value_update, _policy_update):
+        # Each phase keeps its own buffers, as in run_epoch. Once warmed,
+        # peak growth stays below one such array: none was ever allocated.
+        for update in (_policy_update, _value_update):
+            buffers = {}
+            update(bundle, buffer, config, buffers)
             assert peak_growth(update, buffers) < batch_hidden_bytes
+
+    def test_each_net_keeps_three_batch_by_hidden_arrays(self):
+        # Two activations and one gradient array per net: the two nets'
+        # buffers together hold what one shared set held before.
+        n, hidden = 300, 64
+        buffer = filled_buffer(n)
+        bundle = nets.init_bundle(np.random.default_rng([43, 0]), 5)
+        config = PpoConfig(policy_update_iters=1, value_update_iters=1,
+                           target_kl=math.inf)
+        for update in (_policy_update, _value_update):
+            buffers = {}
+            update(bundle, buffer, config, buffers)
+            update(bundle, buffer, config, buffers)
+            sizes = [a.shape for a in buffers.values()]
+            assert sizes.count((n, hidden)) == 3
+
+
+def oracle_value_update(bundle, buffer, config):
+    """Reference value update: fresh arrays, one step after another."""
+    first_loss = 0.0
+    for i in range(config.value_update_iters):
+        preds, cache = nets.forward_cached(bundle.value, buffer.observations)
+        loss, dv = value_loss(preds[:, 0], buffer.returns)
+        if i == 0:
+            first_loss = loss
+        grads, _ = nets.backward(bundle.value, cache, dv[:, None])
+        nets.adam_step(bundle.value, grads, bundle.value_opt, config.value_lr)
+    return first_loss
+
+
+def bundle_state(bundle):
+    """Every array and step count that an update writes."""
+    arrays = bundle.policy.arrays() + bundle.value.arrays()
+    for opt in (bundle.policy_opt, bundle.value_opt):
+        arrays = arrays + opt.m + opt.v
+    return arrays, (bundle.policy_opt.t, bundle.value_opt.t)
+
+
+def assert_same_state(bundle, reference):
+    arrays, counts = bundle_state(bundle)
+    expected_arrays, expected_counts = bundle_state(reference)
+    assert counts == expected_counts
+    assert len(arrays) == len(expected_arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, expected_arrays))
+
+
+def epoch_with_oracle(monkeypatch, config, seed):
+    """``run_epoch``'s metrics and bundle, and the oracle's on its finished buffer."""
+    _, env_config, series = smoke_setup()
+    env = TradingEnv(env_config, series)
+    bundle = nets.init_bundle(np.random.default_rng([seed, 0]), env.obs_dim)
+    seen = {}
+    real_update = ppo._update
+
+    def recording_update(bundle, buffer, config):
+        seen["bundle"], seen["buffer"] = copy.deepcopy(bundle), buffer
+        return real_update(bundle, buffer, config)
+
+    monkeypatch.setattr(ppo, "_update", recording_update)
+    metrics = run_epoch(env, bundle, config, np.random.default_rng([seed, 1]))
+    monkeypatch.setattr(ppo, "_update", real_update)
+    reference, buffer = seen["bundle"], seen["buffer"]
+    policy_loss, entropy, kl, iters = oracle_policy_update(reference, buffer, config)
+    vloss = oracle_value_update(reference, buffer, config)
+    expected = {"policy_loss": policy_loss, "entropy": entropy, "kl": kl,
+                "value_loss": vloss}
+    return metrics, bundle, expected, reference, iters
+
+
+UPDATE_SHAPES = {
+    # target_kl -> the KL stop fires partway; the value side runs on alone.
+    "kl_stop_partway": dict(policy_update_iters=40, value_update_iters=40,
+                            target_kl=0.002),
+    "fewer_policy_iters": dict(policy_update_iters=3, value_update_iters=7,
+                               target_kl=math.inf),
+    "fewer_value_iters": dict(policy_update_iters=7, value_update_iters=3,
+                              target_kl=math.inf),
+    "no_policy_iters": dict(policy_update_iters=0, value_update_iters=5),
+    "no_value_iters": dict(policy_update_iters=5, value_update_iters=0,
+                           target_kl=math.inf),
+}
+
+
+class TestOverlappedUpdates:
+    @pytest.mark.parametrize("shape", UPDATE_SHAPES)
+    def test_both_paths_equal_the_sequential_oracle(self, monkeypatch, shape):
+        config = PpoConfig(steps_per_epoch=200, epochs=1, **UPDATE_SHAPES[shape])
+        runs = {}
+        for overlapped in (False, True):
+            force_update_path(monkeypatch, overlapped)
+            runs[overlapped] = epoch_with_oracle(monkeypatch, config, seed=44)
+        serial, serial_bundle, expected, reference, iters = runs[False]
+        overlapped_metrics, overlapped_bundle = runs[True][:2]
+        if shape == "kl_stop_partway":
+            assert 0 < iters < config.policy_update_iters
+        assert serial == overlapped_metrics
+        assert {k: serial[k] for k in expected} == expected
+        assert_same_state(serial_bundle, reference)
+        assert_same_state(overlapped_bundle, reference)
+
+    def test_overlapped_path_holds_under_fast_thread_switching(self, monkeypatch):
+        config = PpoConfig(steps_per_epoch=200, epochs=1,
+                           **UPDATE_SHAPES["kl_stop_partway"])
+        force_update_path(monkeypatch, True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                metrics, bundle, expected, reference, _ = epoch_with_oracle(
+                    monkeypatch, config, seed=48
+                )
+                assert {k: metrics[k] for k in expected} == expected
+                assert_same_state(bundle, reference)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_value_steps_run_on_a_worker_only_when_overlapped(
+        self, monkeypatch, update_path
+    ):
+        ppo_config, env_config, series = smoke_setup(epochs=1)
+        on_main_thread = set()
+        real = ppo.value_loss
+
+        def recording_value_loss(*args):
+            on_main_thread.add(threading.current_thread() is threading.main_thread())
+            return real(*args)
+
+        monkeypatch.setattr(ppo, "value_loss", recording_value_loss)
+        before = threading.active_count()
+        train(ppo_config, env_config, series, seed=45)
+        assert threading.active_count() == before
+        assert on_main_thread == {not update_path}
+
+    @pytest.mark.parametrize("side", ["policy", "value", "both"])
+    def test_a_failing_step_reaches_the_caller_and_joins(
+        self, monkeypatch, update_path, side
+    ):
+        ppo_config, env_config, series = smoke_setup(epochs=1)
+        real_policy, real_value = ppo.clipped_policy_loss, ppo.value_loss
+        calls = {"policy": 0, "value": 0}
+
+        def failing(name, real, message):
+            def loss(*args):
+                calls[name] += 1
+                if calls[name] == 3 and side in (name, "both"):
+                    raise FloatingPointError(message)
+                return real(*args)
+            return loss
+
+        monkeypatch.setattr(ppo, "clipped_policy_loss",
+                            failing("policy", real_policy, "non-finite importance ratio"))
+        monkeypatch.setattr(ppo, "value_loss",
+                            failing("value", real_value, "value step failed"))
+        before = threading.active_count()
+        message = "value step failed" if side == "value" else "importance ratio"
+        with pytest.raises(FloatingPointError, match=message):
+            train(ppo_config, env_config, series, seed=46)
+        assert threading.active_count() == before
+        # The other side's step in flight was waited for, and no more began.
+        assert calls == {"policy": 3, "value": 3}
+
+    def test_overflowing_ratio_is_named_on_both_paths(self, update_path):
+        buffer = filled_buffer(200)
+        buffer.log_probs[:] = -2000.0
+        bundle = nets.init_bundle(np.random.default_rng([47, 0]), 5)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="non-finite importance ratio"):
+            ppo._update(bundle, buffer, PpoConfig())
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "env, cores, overlapped",
+    [
+        ({}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "1",
+          "OMP_NUM_THREADS": "1"}, 2, True),
+        ({"OMP_NUM_THREADS": "1"}, 4, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "1",
+          "OMP_NUM_THREADS": "1"}, 1, False),
+    ],
+)
+def test_overlap_selection_rule(monkeypatch, env, cores, overlapped):
+    for var in ppo._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert ppo._overlap_updates() is overlapped
