@@ -76,6 +76,10 @@ class RunConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)
 
+    def __post_init__(self) -> None:
+        if self.n_episodes < 1:
+            raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
+
 
 @dataclass(frozen=True)
 class ConfigKey:
@@ -523,11 +527,7 @@ def _load_policy(path: str, env: TradingEnv) -> nets.PolicyBundle:
     if not Path(path).exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     bundle, _ = nets.load_bundle(path)
-    if bundle.policy.in_dim != env.obs_dim:
-        raise ConfigError(
-            f"checkpoint {path} expects {bundle.policy.in_dim} features, "
-            f"environment provides {env.obs_dim}"
-        )
+    nets.check_obs_dim(bundle, env.obs_dim, path)
     return bundle
 
 

@@ -27,10 +27,10 @@ __all__ = [
     "softmax",
     "sample_action",
     "sample_actions",
-    "log_prob_and_entropy",
     "adam_step",
     "save_bundle",
     "load_bundle",
+    "check_obs_dim",
 ]
 
 CHECKPOINT_VERSION = 1
@@ -71,11 +71,6 @@ class MlpParams:
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
         return out
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
 
 
 def init_mlp(
@@ -234,17 +229,6 @@ def sample_actions(logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(actions, logits.shape[-1] - 1, out=actions)
 
 
-def log_prob_and_entropy(logits: np.ndarray, action: int) -> tuple[float, float]:
-    """Exact categorical log-probability of ``action`` and distribution entropy."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= action < logits.shape[-1]:
-        raise ValueError(f"action {action} out of range for {logits.shape[-1]} logits")
-    logp = log_softmax(logits)
-    p = np.exp(logp)
-    entropy = float(-np.sum(p * logp))
-    return float(logp[action]), entropy
-
-
 @dataclass
 class AdamState:
     """First/second moment accumulators and step count for one net."""
@@ -396,3 +380,12 @@ def load_bundle(path: str | Path) -> tuple[PolicyBundle, dict[str, int]]:
             if key.startswith("meta_")
         }
     return bundle, meta
+
+
+def check_obs_dim(bundle: PolicyBundle, obs_dim: int, path: str | Path) -> None:
+    """Refuse the checkpoint at ``path`` unless its nets read ``obs_dim`` features."""
+    if bundle.policy.in_dim != obs_dim:
+        raise ValueError(
+            f"checkpoint {path} expects {bundle.policy.in_dim} features, "
+            f"environment provides {obs_dim}"
+        )

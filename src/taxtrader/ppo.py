@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import os
-import threading
 import time
 from collections.abc import Generator
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -345,66 +345,16 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class _Stepper:
-    """Steps one iteration on request, on a worker thread or in place.
-
-    ``start`` begins a step; ``finish`` waits for it and returns what
-    ``_step`` returned, or raises what the step raised. ``close`` waits
-    for a step still in flight, then stops the worker and joins it.
-    """
-
-    def __init__(self, steps: Generator, threaded: bool):
-        self._steps: Generator | None = steps
-        self._outcome: tuple = (None, None)
-        self._pending = False
-        self._thread: threading.Thread | None = None
-        if threaded:
-            self._go = threading.Semaphore(0)
-            self._done = threading.Semaphore(0)
-            self._thread = threading.Thread(
-                target=self._serve, name="value-update", daemon=True
-            )
-            self._thread.start()
-
-    def _take_step(self) -> None:
-        try:
-            self._outcome = (_step(self._steps), None)
-        except BaseException as exc:  # re-raised by finish() in the caller's thread
-            self._outcome = (None, exc)
-
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._steps is None:
-                return
-            self._take_step()
-            self._done.release()
-
-    def start(self) -> None:
-        self._pending = True
-        if self._thread is None:
-            self._take_step()
-        else:
-            self._go.release()
-
-    def _wait(self) -> None:
-        if self._pending and self._thread is not None:
-            self._done.acquire()
-        self._pending = False
-
-    def finish(self) -> tuple[bool, object]:
-        self._wait()
-        outcome, exc = self._outcome
-        if exc is not None:
-            raise exc
-        return outcome
-
-    def close(self) -> None:
-        self._wait()
-        self._steps = None
-        if self._thread is not None:
-            self._go.release()
-            self._thread.join()
+def _submit(pool: ThreadPoolExecutor | None, fn, *args) -> Future:
+    """``fn(*args)`` submitted to ``pool``, or run here into a finished future."""
+    if pool is not None:
+        return pool.submit(fn, *args)
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:  # re-raised by result(); an interrupt propagates now
+        future.set_exception(exc)
+    return future
 
 
 def _update(
@@ -415,26 +365,30 @@ def _update(
     Each phase reads the finished buffer and writes only its own net, its
     own Adam state and its own scratch dict, so the results equal running
     one phase after the other. Where ``_overlap_updates`` allows, each
-    value step runs on a worker thread while the policy step runs here;
+    value step runs on a one-thread pool while the policy step runs here;
     numpy releases the interpreter lock inside the batch-sized products
     and ufuncs that are most of a step. The loop joins after every step,
-    and if either side raises it first waits for the other side's step,
-    so no thread touches ``bundle`` once this returns or raises.
+    and the pool's shutdown waits for a step still running, so no thread
+    touches ``bundle`` once this returns or raises.
     """
     policy = _policy_steps(bundle, buffer, config, {})
-    value = _Stepper(_value_steps(bundle, buffer, config, {}), _overlap_updates())
+    value = _value_steps(bundle, buffer, config, {})
+    pool = None
+    if _overlap_updates():
+        pool = ThreadPoolExecutor(1, thread_name_prefix="value-update")
     policy_done = value_done = False
     policy_result = value_result = None
     try:
         while not (policy_done and value_done):
             if not value_done:
-                value.start()
+                pending = _submit(pool, _step, value)
             if not policy_done:
                 policy_done, policy_result = _step(policy)
             if not value_done:
-                value_done, value_result = value.finish()
+                value_done, value_result = pending.result()
     finally:
-        value.close()
+        if pool is not None:
+            pool.shutdown()
     return policy_result, value_result
 
 
@@ -542,12 +496,8 @@ def train(
     start_epoch = 0
     if resume_from is not None:
         bundle, meta = nets.load_bundle(resume_from)
+        nets.check_obs_dim(bundle, env.obs_dim, resume_from)
         start_epoch = meta.get("epoch", 0)
-        if bundle.policy.in_dim != env.obs_dim:
-            raise ValueError(
-                f"checkpoint expects {bundle.policy.in_dim} features, "
-                f"environment provides {env.obs_dim}"
-            )
     else:
         bundle = nets.init_bundle(np.random.default_rng([seed, 0]), env.obs_dim)
 

@@ -228,6 +228,24 @@ class TestConfigResolution:
             0.3, 0.4
         )
 
+    @pytest.mark.parametrize("n_episodes", ["0", "-3"])
+    def test_non_positive_episode_count_exits_1(
+        self, drift_csv, tmp_path, capsys, n_episodes
+    ):
+        with pytest.raises(ConfigError, match="n_episodes must be >= 1"):
+            resolve_config(self.parse(["eval", "--n-episodes", n_episodes]))
+        ckpt = str(constant_action_checkpoint(tmp_path / "long.npz", action=2))
+        for command in (
+            ["eval", "--baseline", "long"],
+            ["cross-eval", "--checkpoint-no-tax", ckpt, "--checkpoint-with-tax", ckpt],
+        ):
+            out = tmp_path / command[0]
+            flags = smoke_flags(drift_csv, out, **{"n-episodes": n_episodes})
+            rc = main(command + flags)
+            assert rc == 1
+            assert "n_episodes must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_tax_params_validation_error_exits_1(self, tmp_path, capsys):
         rc = main(
             ["ledger-report", "--trade-log", str(worked_example_log(tmp_path)),

@@ -1,5 +1,6 @@
 """MLP forward/backward, categorical head, Adam, checkpoints."""
 
+import copy
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taxtrader import nets
+from taxtrader import nets, ppo
 from taxtrader.nets import (
     AdamState,
     MlpParams,
@@ -19,7 +20,6 @@ from taxtrader.nets import (
     init_bundle,
     init_mlp,
     load_bundle,
-    log_prob_and_entropy,
     log_softmax,
     sample_action,
     sample_actions,
@@ -147,23 +147,26 @@ class TestBackward:
 
 class TestCategoricalHead:
     def test_uniform_logits(self):
-        logp, entropy = log_prob_and_entropy(np.zeros(3), 0)
-        assert logp == pytest.approx(math.log(1.0 / 3.0), rel=1e-12)
-        assert entropy == pytest.approx(math.log(3.0), rel=1e-12)
+        logp = log_softmax(np.zeros((1, 3)))
+        assert logp[0, 0] == pytest.approx(math.log(1.0 / 3.0), rel=1e-12)
+        entropies, grads = ppo._entropy_terms(logp, np.exp(logp))
+        assert entropies[0] == pytest.approx(math.log(3.0), rel=1e-12)
+        # The uniform distribution is the entropy's maximum.
+        assert np.abs(grads).max() < 1e-15
 
     def test_saturated_logits(self):
         rng = np.random.default_rng(0)
         actions = [sample_action(np.array([1000.0, 0.0, 0.0]), rng)[0] for _ in range(200)]
         assert set(actions) == {0}
-        _, entropy = log_prob_and_entropy(np.array([1000.0, 0.0, 0.0]), 0)
-        assert entropy == pytest.approx(0.0, abs=1e-12)
+        logp = log_softmax(np.array([[1000.0, 0.0, 0.0]]))
+        entropies, _ = ppo._entropy_terms(logp, np.exp(logp))
+        assert entropies[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_sample_log_prob_consistency(self):
         rng = np.random.default_rng(4)
         logits = np.array([0.3, -0.2, 0.5])
         action, logp = sample_action(logits, rng)
-        expected, _ = log_prob_and_entropy(logits, action)
-        assert logp == expected
+        assert logp == log_softmax(logits)[action]
 
     def test_empirical_frequencies_match_softmax(self):
         logits = np.array([0.3, -0.2, 0.5])
@@ -183,9 +186,9 @@ class TestCategoricalHead:
         for _ in range(50):
             logits = rng.normal(scale=rng.uniform(0.1, 50.0), size=3)
             brute = np.exp(logits) / np.sum(np.exp(logits))
+            logp = log_softmax(logits)
             for a in range(3):
-                logp, _ = log_prob_and_entropy(logits, a)
-                assert rel_err(math.exp(logp), brute[a]) < 1e-12
+                assert rel_err(math.exp(logp[a]), brute[a]) < 1e-12
 
     @given(st.lists(st.floats(-1000.0, 1000.0), min_size=2, max_size=8))
     def test_probabilities_normalize(self, logits):
@@ -196,10 +199,6 @@ class TestCategoricalHead:
     def test_rejects_non_finite_logits(self):
         with pytest.raises(ValueError):
             sample_action(np.array([np.nan, 0.0, 0.0]), np.random.default_rng(0))
-
-    def test_rejects_bad_action_index(self):
-        with pytest.raises(ValueError):
-            log_prob_and_entropy(np.zeros(3), 3)
 
     def test_log_softmax_stable_for_extreme_logits(self):
         out = log_softmax(np.array([1e3, -1e3, 0.0]))
@@ -512,7 +511,7 @@ class TestBufferedPassesBitIdentical:
 
     def test_adam_step_matches_oracle(self):
         first, _, rng = self.nets_pair()
-        reference = first.copy()
+        reference = copy.deepcopy(first)
         state = AdamState.zeros_like(first)
         ref_m = [np.zeros_like(a) for a in reference.arrays()]
         ref_v = [np.zeros_like(a) for a in reference.arrays()]

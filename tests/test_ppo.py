@@ -392,6 +392,16 @@ class TestTrain:
             "checkpoint.npz", "metrics.csv"
         ]
 
+    def test_resume_refuses_a_checkpoint_of_other_features(self, tmp_path):
+        ppo_config, env_config, series = smoke_setup(epochs=1)
+        checkpoint = tmp_path / "p4.npz"
+        four = nets.init_bundle(np.random.default_rng(0), obs_dim=4)
+        nets.save_bundle(checkpoint, four, meta={"epoch": 0})
+        with pytest.raises(ValueError) as excinfo:
+            train(ppo_config, env_config, series, seed=9, resume_from=checkpoint)
+        assert str(checkpoint) in str(excinfo.value)
+        assert "expects 4 features, environment provides 5" in str(excinfo.value)
+
     def test_non_finite_value_estimates_stop_the_run_unrecorded(self, tmp_path):
         # A value net with a NaN bias: the run must stop with a named error
         # and write neither a metrics row nor a checkpoint for the epoch.
@@ -637,6 +647,41 @@ class TestOverlappedUpdates:
         train(ppo_config, env_config, series, seed=45)
         assert threading.active_count() == before
         assert on_main_thread == {not update_path}
+
+    def test_an_epoch_runs_its_value_steps_on_one_thread(
+        self, monkeypatch, update_path
+    ):
+        ppo_config, env_config, series = smoke_setup(epochs=2)
+        real_update, real_value_loss = ppo._update, ppo.value_loss
+        real_start = threading.Thread.start
+        idents, started = [], []
+
+        def recording_update(*args):
+            idents.append(set())
+            return real_update(*args)
+
+        def recording_value_loss(*args):
+            idents[-1].add(threading.get_ident())
+            return real_value_loss(*args)
+
+        def recording_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(ppo, "_update", recording_update)
+        monkeypatch.setattr(ppo, "value_loss", recording_value_loss)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        train(ppo_config, env_config, series, seed=49)
+        main = threading.main_thread().ident
+        # Ten value steps per epoch, each epoch's on a single thread.
+        assert len(idents) == 2 and all(len(epoch) == 1 for epoch in idents)
+        if update_path:
+            assert all(main not in epoch for epoch in idents)
+            assert len(started) == 2
+            assert all(name.startswith("value-update") for name in started)
+        else:
+            assert idents == [{main}, {main}]
+            assert started == []
 
     @pytest.mark.parametrize("side", ["policy", "value", "both"])
     def test_a_failing_step_reaches_the_caller_and_joins(
